@@ -6,16 +6,15 @@ between them, and the string bracket, together with a group-ring oracle
 for the two-torus used to cross-check everything.
 """
 
-from .linalg import (CompositionError, Echelon, LinearSolver,
-                     SubquotientBasis, column_rank, homology, kernel_basis,
-                     reduced_echelon, solve_columns)
+from .linalg import (CompositionError, Echelon, SubquotientBasis,
+                     column_rank, homology, kernel_basis)
 from .dga import (DGA, DegreeMismatchError, ModelError, OrientationError,
                   ParseError, UnknownNameError, ValidationReport,
                   acyclic_extension, build_dga, builtin_model, dga_homology,
                   dga_to_doc, orientation_pairing, validate_dga)
-from .bar import (BarSlice, HomologyPresentation, bar_basis, bar_coproduct,
-                  bar_d, bar_degree, bar_homology, bar_slice, bar_slice_tsv,
-                  word_str, words_by_degree)
+from .bar import (BarSlice, HomologyPresentation, bar_coproduct, bar_d,
+                  bar_degree, bar_homology, bar_slice, word_str,
+                  words_by_degree)
 from .cochains import (Cochain, ComplexSlice, DualCochain, GradingError,
                        LoopHomology, assemble_complex, cup, delta_squared_zero,
                        delta_to_A, delta_to_dual, hochschild_homology,

@@ -8,7 +8,7 @@ unit (degree-0 products) are dropped: the construction is reduced.
 
 import itertools
 
-from .linalg import homology, compose_columns
+from .linalg import acc, compose_columns, homology
 
 
 def bar_degree(A, word):
@@ -37,43 +37,13 @@ def bar_d(A, word):
     for i in range(r):
         sign = -1 if eps[i] % 2 == 0 else 1
         for k, c in A.d(word[i]).items():
-            w = word[:i] + (k,) + word[i + 1:]
-            y = out.get(w, 0) + sign * c
-            if y:
-                out[w] = y
-            elif w in out:
-                del out[w]
+            acc(out, word[:i] + (k,) + word[i + 1:], sign * c)
     for i in range(r - 1):
         sign = -1 if eps[i + 1] % 2 == 0 else 1
         for k, c in A.mul(word[i], word[i + 1]).items():
             if A.degrees[k] == 0:
                 continue  # reduced: unit letters are dropped
-            w = word[:i] + (k,) + word[i + 2:]
-            y = out.get(w, 0) + sign * c
-            if y:
-                out[w] = y
-            elif w in out:
-                del out[w]
-    return out
-
-
-def bar_d_internal(A, word):
-    """Only the letter-differential terms of bar_d (weight-preserving part).
-
-    This is the boundary of the weight-graded quotient complex, where the
-    merge terms vanish.
-    """
-    out = {}
-    eps = prefix_degrees(A, word)
-    for i in range(len(word)):
-        sign = -1 if eps[i] % 2 == 0 else 1
-        for k, c in A.d(word[i]).items():
-            w = word[:i] + (k,) + word[i + 1:]
-            y = out.get(w, 0) + sign * c
-            if y:
-                out[w] = y
-            elif w in out:
-                del out[w]
+            acc(out, word[:i] + (k,) + word[i + 2:], sign * c)
     return out
 
 
@@ -149,12 +119,6 @@ def bar_slice(A, degree, max_weight):
                     slice_complete(A, degree, max_weight))
 
 
-def bar_basis(A, degree_range, max_weight):
-    """Slices for each degree in the inclusive range."""
-    lo, hi = degree_range
-    return [bar_slice(A, n, max_weight) for n in range(lo, hi + 1)]
-
-
 class HomologyPresentation:
     """Betti number with representatives and an expression test."""
 
@@ -212,22 +176,3 @@ def bar_d_squared_zero(A, max_weight, degree_range=None):
 
 def word_str(A, word):
     return "(" + ",".join(A.names[i] for i in word) + ")"
-
-
-def bar_chain_str(A, chain):
-    if not chain:
-        return "0"
-    parts = []
-    for w in sorted(chain, key=lambda w: (len(w), w)):
-        parts.append(f"{chain[w]}·{word_str(A, w)}")
-    return " + ".join(parts)
-
-
-def bar_slice_tsv(A, slc):
-    """Debug dump: word, degree, weight, boundary expansion."""
-    lines = ["word\tdegree\tweight\td_bar"]
-    for w in slc.basis:
-        lines.append("\t".join([
-            word_str(A, w), str(slc.degree), str(len(w)),
-            bar_chain_str(A, slc.d_columns[w])]))
-    return "\n".join(lines) + "\n"

@@ -3,6 +3,8 @@
 Subcommands: validate, loop-homology, bar-betti, bracket, pi1-compare.
 A model comes either from a JSON file argument or from --model with a
 builtin id like sphere:3 or acyclic_extension:surface:1, never both.
+The report commands (loop-homology, bar-betti, bracket) run
+validate_dga first and refuse a model that fails it.
 Exit codes: 0 success, 1 computation or validation failure, 2 usage,
 3 result inconclusive because of weight truncation.  All reports are
 assembled as complete strings before printing, so equal inputs produce
@@ -17,6 +19,7 @@ from .dga import ModelError, build_dga, builtin_model, validate_dga
 from .bar import bar_homology
 from .cochains import hochschild_homology, loop_homology
 from .duality import BracketModelError, CycleError, NotInImageError, bracket
+from .linalg import add_scaled
 from .lattice import TruncationError, compare_pi1_dimensions
 
 
@@ -93,6 +96,17 @@ def _load_model(args):
     raise UsageError("a model file or --model is required")
 
 
+def _load_valid_model(args):
+    """The model, refused with a ModelError naming the violated rules when
+    it fails validate_dga: reports on an invalid model mean nothing."""
+    A = _load_model(args)
+    report = validate_dga(A)
+    if not report.passed:
+        raise ModelError(f"model {A.label} fails validation: "
+                         + ", ".join(report.rules))
+    return A
+
+
 def _emit(text):
     sys.stdout.write(text)
 
@@ -125,7 +139,7 @@ def _cmd_validate(args):
 
 
 def _cmd_loop_homology(args):
-    A = _load_model(args)
+    A = _load_valid_model(args)
     lo = -A.top_degree if args.min_degree is None else args.min_degree
     hi = A.top_degree + 2 if args.max_degree is None else args.max_degree
     if lo > hi:
@@ -155,7 +169,7 @@ def _cmd_loop_homology(args):
 
 
 def _cmd_bar_betti(args):
-    A = _load_model(args)
+    A = _load_valid_model(args)
     lo = args.min_degree
     hi = 2 * A.top_degree if args.max_degree is None else args.max_degree
     if lo > hi:
@@ -182,7 +196,7 @@ def _cmd_bar_betti(args):
 
 
 def _cmd_bracket(args):
-    A = _load_model(args)
+    A = _load_valid_model(args)
     p = args.p
     if p < 1:
         raise UsageError("--p must be at least 1")
@@ -203,7 +217,7 @@ def _cmd_bracket(args):
                     "bracket output is not a cycle in the output window")
             table[(i, j)] = expr
     antisym = all(
-        not _expr_sum(table[(i, j)], table[(j, i)])
+        not add_scaled(dict(table[(i, j)]), table[(j, i)])
         for i in range(len(in_classes)) for j in range(len(in_classes)))
     if args.format == "json":
         obj = {"model": A.label, "p": p, "output_cutoff": out_cut,
@@ -223,17 +237,6 @@ def _cmd_bracket(args):
         lines.append(f"antisymmetry\t{'ok' if antisym else 'FAIL'}")
         _emit("\n".join(lines) + "\n")
     return 0 if antisym else 1
-
-
-def _expr_sum(e1, e2):
-    out = dict(e1)
-    for k, c in e2.items():
-        y = out.get(k, 0) + c
-        if y:
-            out[k] = y
-        elif k in out:
-            del out[k]
-    return out
 
 
 def _cmd_pi1_compare(args):

@@ -16,7 +16,7 @@ acceptance sweeps fast.
 
 import itertools
 
-from .linalg import compose_columns, homology
+from .linalg import acc, add_scaled, compose_columns, homology
 from .bar import (HomologyPresentation, bar_degree, prefix_degrees,
                   words_by_degree, _min_letter_degree, word_str)
 
@@ -75,15 +75,8 @@ class _Cochain:
         if self.entries and other.entries and self.degree != other.degree:
             raise GradingError(
                 f"cannot add degrees {self.degree} and {other.degree}")
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            y = entries.get(k, 0) + v
-            if y:
-                entries[k] = y
-            elif k in entries:
-                del entries[k]
         out = self.__class__.__new__(self.__class__)
-        out.entries = entries
+        out.entries = add_scaled(dict(self.entries), other.entries)
         out.degree = self.degree if self.entries else other.degree
         return out
 
@@ -110,10 +103,6 @@ class _Cochain:
         if self.entries != other.entries:
             return False
         return (not self.entries) or self.degree == other.degree
-
-    def __hash__(self):
-        return hash((self.__class__.__name__, self.degree,
-                     frozenset(self.entries.items())))
 
     def __repr__(self):
         return (f"{self.__class__.__name__}(degree={self.degree}, "
@@ -150,27 +139,10 @@ class DualCochain(_Cochain):
         return sum((self.entries.get((word, b), 0) * c
                     for b, c in chain.items()), 0)
 
-    def functional(self, word):
-        out = {}
-        for (w, b), c in self.entries.items():
-            if w == word:
-                out[b] = c
-        return out
-
 
 def unit_cochain(A):
     """The cup-product identity: the empty word maps to the unit."""
     return Cochain(A, {((), A.unit): 1})
-
-
-def _acc(out, key, c):
-    if not c:
-        return
-    y = out.get(key, 0) + c
-    if y:
-        out[key] = y
-    elif key in out:
-        del out[key]
 
 
 def _co_preimages(A, v, cutoff):
@@ -189,14 +161,14 @@ def _co_preimages(A, v, cutoff):
             if A.degrees[ell] < 1:
                 continue
             w = v[:idx] + (ell,) + v[idx + 1:]
-            _acc(out, w, sign * cd)
+            acc(out, w, sign * cd)
         if cutoff is not None and len(v) + 1 > cutoff:
             continue
         for l1, l2, cm in A.co_split.get(vi, ()):
             e = eps[idx] + A.degrees[l1] - 1
             sign2 = -1 if e % 2 == 0 else 1
             w = v[:idx] + (l1, l2) + v[idx + 1:]
-            _acc(out, w, sign2 * cm)
+            acc(out, w, sign2 * cm)
     return out
 
 
@@ -206,11 +178,11 @@ def _delta_entry_dual(A, v, c_val, cutoff):
     eps_v = bar_degree(A, v)
     # value-differential: phi(w)(db) picks up entries (v, b) with db -> c
     for b, cd in A.co_d.get(c_val, ()):
-        _acc(out, (v, b), cd)
+        acc(out, (v, b), cd)
     # transposed bar boundary, sign (-1)^{|b|} with b = c_val
     s2 = -1 if A.degrees[c_val] % 2 else 1
     for w, mu in _co_preimages(A, v, cutoff).items():
-        _acc(out, (w, c_val), s2 * mu)
+        acc(out, (w, c_val), s2 * mu)
     # prepend / append a letter, absorbing it into the test slot
     fits = cutoff is None or len(v) + 1 <= cutoff
     if fits:
@@ -220,11 +192,11 @@ def _delta_entry_dual(A, v, c_val, cutoff):
                 sb = A.degrees[b]
                 # prepend: -(-1)^{|b|} phi(w[1:])(b w_1)
                 s3 = 1 if sb % 2 else -1
-                _acc(out, ((ell,) + v, b), s3 * cm)
+                acc(out, ((ell,) + v, b), s3 * cm)
                 # append: +(-1)^{|b| + eps_{r-1}(|w_r|+1)} phi(w[:-1])(b w_r)
                 e4 = sb + e_v * (A.degrees[ell] + 1)
                 s4 = -1 if e4 % 2 else 1
-                _acc(out, (v + (ell,), b), s4 * cm)
+                acc(out, (v + (ell,), b), s4 * cm)
     return out
 
 
@@ -235,10 +207,10 @@ def _delta_entry_to_A(A, v, a, cutoff):
     s1 = -1 if sa % 2 else 1
     # differential of the value
     for k, cd in A.d(a).items():
-        _acc(out, (v, k), s1 * cd)
+        acc(out, (v, k), s1 * cd)
     # transposed bar boundary (total sign works out to (-1)^{|a|} mu)
     for w, mu in _co_preimages(A, v, cutoff).items():
-        _acc(out, (w, a), s1 * mu)
+        acc(out, (w, a), s1 * mu)
     fits = cutoff is None or len(v) + 1 <= cutoff
     if fits:
         e_v = bar_degree(A, v)
@@ -248,12 +220,12 @@ def _delta_entry_to_A(A, v, a, cutoff):
             # prepend: the first letter multiplies the value from the left
             s3 = -1 if (sa + dl + 1) % 2 else 1
             for k, cm in A.mul(ell, a).items():
-                _acc(out, ((ell,) + v, k), s3 * cm)
+                acc(out, ((ell,) + v, k), s3 * cm)
             # append: the last letter multiplies from the right
             e4 = (dl + 1) * (n + 1)
             s4 = 1 if e4 % 2 else -1
             for k, cm in A.mul(a, ell).items():
-                _acc(out, (v + (ell,), k), s4 * cm)
+                acc(out, (v + (ell,), k), s4 * cm)
     return out
 
 
@@ -262,7 +234,7 @@ def delta_to_A(A, phi, weight_cutoff=None):
     out = {}
     for (v, a), c in phi.entries.items():
         for key, y in _delta_entry_to_A(A, v, a, weight_cutoff).items():
-            _acc(out, key, c * y)
+            acc(out, key, c * y)
     return Cochain(A, out, degree=phi.degree - 1)
 
 
@@ -271,7 +243,7 @@ def delta_to_dual(A, phi, weight_cutoff=None):
     out = {}
     for (v, b), c in phi.entries.items():
         for key, y in _delta_entry_dual(A, v, b, weight_cutoff).items():
-            _acc(out, key, c * y)
+            acc(out, key, c * y)
     return DualCochain(A, out, degree=phi.degree - 1)
 
 
@@ -296,7 +268,7 @@ def cup(A, phi1, phi2, weight_cutoff=None):
             sign = -1 if e % 2 else 1
             w = v1 + v2
             for k, cm in prod.items():
-                _acc(out, (w, k), sign * c1 * c2 * cm)
+                acc(out, (w, k), sign * c1 * c2 * cm)
     return Cochain(A, out, degree=n1 + n2)
 
 
@@ -505,7 +477,7 @@ def _eval_to_A(A, phi, slots):
         for _, c in combo:
             coeff *= c
         for a, cv in phi.value(word).items():
-            _acc(out, a, coeff * cv)
+            acc(out, a, coeff * cv)
     return out
 
 
@@ -562,9 +534,9 @@ def normalization_violations(A, phi, max_len=None):
                         if val:
                             bad.append(("interior", word, i, f, val))
                     else:
-                        v = _neg(_eval_to_A(A, phi, left))
-                        v = _add(v, _eval_to_A(A, phi, mid))
-                        v = _add(v, _eval_to_A(A, phi, ins))
+                        v = add_scaled({}, _eval_to_A(A, phi, left), -1)
+                        add_scaled(v, _eval_to_A(A, phi, mid))
+                        add_scaled(v, _eval_to_A(A, phi, ins))
                         if v:
                             bad.append(("interior", word, i, f, v))
                 # family 2: f at the front
@@ -579,10 +551,10 @@ def normalization_violations(A, phi, max_len=None):
                     if val:
                         bad.append(("front", word, 0, f, val))
                 else:
-                    v = _neg(A.wedge(fch, _eval_to_A(A, phi,
-                                                     unit_chains(word))))
-                    v = _add(v, _eval_to_A(A, phi, first))
-                    v = _add(v, _eval_to_A(A, phi, front))
+                    v = add_scaled({}, A.wedge(fch, _eval_to_A(
+                        A, phi, unit_chains(word))), -1)
+                    add_scaled(v, _eval_to_A(A, phi, first))
+                    add_scaled(v, _eval_to_A(A, phi, front))
                     if v:
                         bad.append(("front", word, 0, f, v))
                 # family 3: f at the back
@@ -597,24 +569,13 @@ def normalization_violations(A, phi, max_len=None):
                     if val:
                         bad.append(("back", word, r, f, val))
                 else:
-                    v = _neg(_eval_to_A(A, phi, last))
-                    v = _add(v, A.wedge(_eval_to_A(A, phi,
-                                                   unit_chains(word)), fch))
-                    v = _add(v, _eval_to_A(A, phi, back))
+                    v = add_scaled({}, _eval_to_A(A, phi, last), -1)
+                    add_scaled(v, A.wedge(_eval_to_A(A, phi,
+                                                     unit_chains(word)), fch))
+                    add_scaled(v, _eval_to_A(A, phi, back))
                     if v:
                         bad.append(("back", word, r, f, v))
     return bad
-
-
-def _neg(u):
-    return {k: -v for k, v in u.items()}
-
-
-def _add(u, v):
-    out = dict(u)
-    for k, c in v.items():
-        _acc(out, k, c)
-    return out
 
 
 def normalization_check(A, phi, max_len=None):

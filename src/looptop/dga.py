@@ -13,7 +13,8 @@ the same sparse convention the linear algebra layer uses.
 from fractions import Fraction
 import itertools
 
-from .linalg import CompositionError, homology, column_rank, vec_combine
+from .linalg import (CompositionError, acc, add_scaled, column_rank, homology,
+                     vec_combine)
 
 
 class ModelError(ValueError):
@@ -83,9 +84,6 @@ class DGA:
         except KeyError:
             raise UnknownNameError(f"no basis element named {name!r}") from None
 
-    def degree(self, i):
-        return self.degrees[i]
-
     def mul(self, i, j):
         return self.product.get((i, j), {})
 
@@ -98,22 +96,13 @@ class DGA:
         for i, a in u.items():
             for j, b in v.items():
                 for k, c in self.mul(i, j).items():
-                    y = out.get(k, 0) + a * b * c
-                    if y:
-                        out[k] = y
-                    elif k in out:
-                        del out[k]
+                    acc(out, k, a * b * c)
         return out
 
     def d_chain(self, u):
         out = {}
         for i, a in u.items():
-            for k, c in self.d(i).items():
-                y = out.get(k, 0) + a * c
-                if y:
-                    out[k] = y
-                elif k in out:
-                    del out[k]
+            add_scaled(out, self.d(i), a)
         return out
 
     def orient(self, u):
@@ -210,7 +199,8 @@ def build_dga(doc):
             name, deg = entry["name"], entry["degree"]
         except (TypeError, KeyError):
             raise ParseError(f"bad basis entry {entry!r}") from None
-        if not isinstance(name, str) or not isinstance(deg, int) or deg < 0:
+        if (not isinstance(name, str) or not isinstance(deg, int)
+                or isinstance(deg, bool) or deg < 0):
             raise ParseError(f"bad basis entry {entry!r}")
         if name in names:
             raise ParseError(f"duplicate basis name {name!r}")
@@ -219,14 +209,19 @@ def build_dga(doc):
     index = {n: i for i, n in enumerate(names)}
 
     def resolve(name):
+        if not isinstance(name, str):
+            raise ParseError(f"basis name {name!r} is not a string")
         if name not in index:
             raise UnknownNameError(f"no basis element named {name!r}")
         return index[name]
 
     unit = resolve(unit_name)
+    if (not isinstance(top_degree, int) or isinstance(top_degree, bool)
+            or top_degree < 0):
+        raise ParseError(f"bad top_degree {top_degree!r}")
 
     differential = {}
-    for entry in doc.get("differential", []):
+    for entry in _entries(doc, "differential", ("from", "to")):
         src = resolve(entry["from"])
         img = {}
         for name, c in entry["to"].items():
@@ -242,7 +237,7 @@ def build_dga(doc):
             differential[src] = img
 
     product = {}
-    for entry in doc.get("products", []):
+    for entry in _entries(doc, "products", ("left", "right", "result")):
         i, j = resolve(entry["left"]), resolve(entry["right"])
         img = {}
         for name, c in entry["result"].items():
@@ -259,19 +254,32 @@ def build_dga(doc):
 
     orientation = None
     if doc.get("orientation"):
+        if not isinstance(doc["orientation"], dict):
+            raise ParseError("orientation must be an object")
         orientation = {}
         for name, c in doc["orientation"].items():
             c = _coeff(c)
             if c:
                 orientation[resolve(name)] = c
 
-    if not isinstance(top_degree, int) or top_degree < 0:
-        raise ParseError(f"bad top_degree {top_degree!r}")
-
     return DGA(names, degrees, unit, product, differential, top_degree,
                orientation=orientation,
                commutative=bool(doc.get("commutative", True)),
                label=str(doc.get("name", "dga")))
+
+
+def _entries(doc, key, fields):
+    """The array doc[key] (default empty), checked entry by entry: each is
+    an object holding fields, the last of which maps names to
+    coefficients."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise ParseError(f"{key} must be an array")
+    for entry in entries:
+        if (not isinstance(entry, dict) or any(f not in entry for f in fields)
+                or not isinstance(entry[fields[-1]], dict)):
+            raise ParseError(f"bad {key} entry {entry!r}")
+    return entries
 
 
 def dga_to_doc(A):
@@ -358,9 +366,9 @@ def validate_dga(A):
             sign = -1 if A.degrees[i] % 2 else 1
             rhs = {}
             for k, c in A.d(i).items():
-                rhs = vec_combine(rhs, 1, _scaled_mul(A, k, j, c), 1)
+                add_scaled(rhs, A.mul(k, j), c)
             for k, c in A.d(j).items():
-                rhs = vec_combine(rhs, 1, _scaled_mul(A, i, k, sign * c), 1)
+                add_scaled(rhs, A.mul(i, k), sign * c)
             diff = vec_combine(lhs, 1, rhs, -1)
             if diff:
                 bad.append(("leibniz", (names[i], names[j]),
@@ -407,30 +415,12 @@ def validate_dga(A):
         except CompositionError:
             hom = {}  # d² != 0 was already reported above
         d = A.top_degree
-        for q in sorted({q for q in hom} | {d - q for q in hom}):
-            left = hom.get(q)
-            right = hom.get(d - q)
-            nl = left.betti if left else 0
-            nr = right.betti if right else 0
-            if nl == nr == 0:
-                continue
-            cols = {}
-            for jj, rv in enumerate(right.representatives if right else []):
-                col = {}
-                for ii, lv in enumerate(left.representatives if left else []):
-                    val = A.orient(A.wedge(lv, rv))
-                    if val:
-                        col[ii] = val
-                cols[jj] = col
-            if nl != nr or column_rank(cols) != nl:
+        for q in sorted(set(hom) | {d - q for q in hom}):
+            if not _pairing_nondegenerate(A, hom, q):
                 bad.append(("orientation/nondegenerate", (q,),
                             f"homology pairing degrees ({q},{d - q}) singular"))
 
     return ValidationReport(bad)
-
-
-def _scaled_mul(A, i, j, c):
-    return {k: c * v for k, v in A.mul(i, j).items()}
 
 
 def _chain_str(A, u):
@@ -449,11 +439,26 @@ def dga_homology(A):
     return out
 
 
-class PairingReport:
-    """Orientation pairing matrices per degree plus non-degeneracy flags."""
+def _pairing_nondegenerate(A, hom, q):
+    """Whether orientation(x ∧ y) pairs H^q with H^{top - q} perfectly.
 
-    def __init__(self, matrices, homology_nondegenerate):
-        self.matrices = matrices
+    hom is dga_homology(A); degrees outside it have zero homology, and two
+    zero groups pair perfectly.
+    """
+    left = hom.get(q)
+    right = hom.get(A.top_degree - q)
+    lreps = left.representatives if left else []
+    rreps = right.representatives if right else []
+    cols = {jj: {ii: val for ii, lv in enumerate(lreps)
+                 if (val := A.orient(A.wedge(lv, rv)))}
+            for jj, rv in enumerate(rreps)}
+    return len(lreps) == len(rreps) and column_rank(cols) == len(lreps)
+
+
+class PairingReport:
+    """Per-degree non-degeneracy of the orientation pairing on homology."""
+
+    def __init__(self, homology_nondegenerate):
         self.homology_nondegenerate = homology_nondegenerate
 
     @property
@@ -462,36 +467,12 @@ class PairingReport:
 
 
 def orientation_pairing(A):
-    """Basis-level pairing matrices M_q[i][j] = orientation(b_i ∧ b_j)."""
+    """Whether H^q × H^{top - q} -> ℚ is perfect, for q = 0..top."""
     if A.orientation is None:
         raise OrientationError(f"model {A.label} has no orientation")
-    d = A.top_degree
-    matrices = {}
-    for q in range(d + 1):
-        rows = A.basis_of_degree(q)
-        cols = A.basis_of_degree(d - q)
-        matrices[q] = [[A.orient(A.mul(i, j)) for j in cols] for i in rows]
-
     hom = dga_homology(A)
-    flags = {}
-    for q in range(d + 1):
-        left = hom.get(q)
-        right = hom.get(d - q)
-        nl = left.betti if left else 0
-        nr = right.betti if right else 0
-        if nl == nr == 0:
-            flags[q] = True
-            continue
-        cols = {}
-        for jj, rv in enumerate(right.representatives if right else []):
-            col = {}
-            for ii, lv in enumerate(left.representatives if left else []):
-                val = A.orient(A.wedge(lv, rv))
-                if val:
-                    col[ii] = val
-            cols[jj] = col
-        flags[q] = (nl == nr and column_rank(cols) == nl)
-    return PairingReport(matrices, flags)
+    return PairingReport({q: _pairing_nondegenerate(A, hom, q)
+                          for q in range(A.top_degree + 1)})
 
 
 def builtin_model(model_id, *params):

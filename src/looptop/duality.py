@@ -13,11 +13,11 @@ one), and the bracket of two degree-0 dual classes is
 
 import itertools
 
-from .linalg import LinearSolver, column_rank, homology, solve_columns
+from .linalg import Echelon, acc, column_rank, homology
 from .bar import bar_degree, prefix_degrees, words_by_degree
 from .dga import OrientationError
 from .cochains import (Cochain, DualCochain, GradingError, assemble_complex,
-                       cup, delta_to_dual, _acc)
+                       cup, delta_to_dual)
 
 
 class NotInImageError(ValueError):
@@ -84,7 +84,7 @@ def poincare_P(A, phi):
         for b in A.basis_of_degree(d - A.degrees[a]):
             v = _pairing_value(A, b, a)
             if v:
-                _acc(out, (w, b), c * v)
+                acc(out, (w, b), c * v)
     return DualCochain(A, out, degree=phi.degree + d)
 
 
@@ -98,9 +98,12 @@ def _pairing_inverse(A):
                 f"orientation pairing of {A.label} is not chain-invertible")
         inv = {}
         for q, (rows, cols, mat) in _pairing_blocks(A).items():
+            ech = Echelon()
+            for a in sorted(mat):
+                ech.insert(mat[a], a)
             cols_inv = {}
             for b in rows:
-                sol = solve_columns(mat, {b: 1})
+                sol = ech.express({b: 1})
                 if sol is None:
                     raise NotInImageError(
                         f"orientation pairing of {A.label} is singular")
@@ -120,7 +123,7 @@ def poincare_P_chain_inverse(A, psi):
     for (w, b), c in psi.entries.items():
         q = d - A.degrees[b]
         for a, v in inv[q][b].items():
-            _acc(out, (w, a), c * v)
+            acc(out, (w, a), c * v)
     return Cochain(A, out, degree=psi.degree - d)
 
 
@@ -140,21 +143,20 @@ def poincare_P_inverse(A, psi, weight_cutoff):
     src_above = assemble_complex(A, "to_A", m + 1, weight_cutoff)
     cycles = homology(src_above.delta_columns, src.delta_columns)
     dual_above = assemble_complex(A, "to_dual", psi.degree + 1, weight_cutoff)
-    gens = []
+    ech = Echelon()
     reps = []
     for i, z in enumerate(cycles.representatives):
         phi = Cochain(A, dict(z), degree=m)
         reps.append(phi)
-        gens.append((("c", i), poincare_P(A, phi).entries))
+        ech.insert(poincare_P(A, phi).entries, ("c", i))
     # images of to-A coboundaries are dual coboundaries (P intertwines
     # the differentials up to sign), so the coboundary generators below
     # absorb them
     for j, key in enumerate(dual_above.basis):
         col = dual_above.delta_columns[key]
         if col:
-            gens.append((("b", j), col))
-    solver = LinearSolver(gens)
-    expr = solver.express(psi.entries)
+            ech.insert(col, ("b", j))
+    expr = ech.express(psi.entries)
     if expr is None:
         raise NotInImageError(
             "class is not in the image of the duality map at this cutoff")
@@ -190,7 +192,7 @@ def connes_B(A, phi, p=None):
             eps_r = eps_u - (A.degrees[b] - 1)
             e = (eps_k + 1) * (eps_r - eps_k)
             sign = -1 if e % 2 else 1
-            _acc(out, (w, b), sign * c)
+            acc(out, (w, b), sign * c)
     return DualCochain(A, out, degree=phi.degree + 1)
 
 
@@ -394,7 +396,7 @@ def _quotient_delta_entry(A, v, c_val):
     differential and the letterwise differential survive."""
     out = {}
     for b, cd in A.co_d.get(c_val, ()):
-        _acc(out, (v, b), cd)
+        acc(out, (v, b), cd)
     s2 = -1 if A.degrees[c_val] % 2 else 1
     eps = prefix_degrees(A, v)
     for idx, vi in enumerate(v):
@@ -403,7 +405,7 @@ def _quotient_delta_entry(A, v, c_val):
             if A.degrees[ell] < 1:
                 continue
             w = v[:idx] + (ell,) + v[idx + 1:]
-            _acc(out, (w, c_val), s2 * sign * cd)
+            acc(out, (w, c_val), s2 * sign * cd)
     return out
 
 

@@ -15,6 +15,7 @@ import math
 
 from .cochains import DualCochain
 from .dga import builtin_model
+from .linalg import acc, add_scaled
 
 
 class TruncationError(ValueError):
@@ -40,14 +41,7 @@ class GroupRingElement:
         return cls({(0, 0): 1})
 
     def add(self, other):
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            y = out.get(g, 0) + c
-            if y:
-                out[g] = y
-            elif g in out:
-                del out[g]
-        return GroupRingElement(out)
+        return GroupRingElement(add_scaled(dict(self.terms), other.terms))
 
     def sub(self, other):
         return self.add(other.scale(-1))
@@ -59,12 +53,7 @@ class GroupRingElement:
         out = {}
         for (m1, n1), c1 in self.terms.items():
             for (m2, n2), c2 in other.terms.items():
-                g = (m1 + m2, n1 + n2)
-                y = out.get(g, 0) + c1 * c2
-                if y:
-                    out[g] = y
-                elif g in out:
-                    del out[g]
+                acc(out, (m1 + m2, n1 + n2), c1 * c2)
         return GroupRingElement(out)
 
     def augmentation(self):
@@ -113,10 +102,8 @@ def jadic_reduce(x, p):
     coords = {}
     for (m, n), c in x.terms.items():
         for a, b in jadic_basis(p):
-            v = c * _binomial(m, a) * _binomial(n, b)
-            if v:
-                coords[(a, b)] = coords.get((a, b), 0) + v
-    return {k: v for k, v in coords.items() if v}
+            acc(coords, (a, b), c * _binomial(m, a) * _binomial(n, b))
+    return coords
 
 
 def in_jadic(x, p):

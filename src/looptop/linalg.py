@@ -32,21 +32,23 @@ def _div(a, b):
     return _simp(Fraction(a) / Fraction(b))
 
 
-def vec_scaled(vec, c):
+def acc(out, key, c):
+    """out[key] += c in place, dropping the entry when it becomes zero."""
     if not c:
-        return {}
-    return {k: c * x for k, x in vec.items()}
+        return
+    y = out.get(key, 0) + c
+    if y:
+        out[key] = y
+    elif key in out:
+        del out[key]
 
 
-def vec_combine(a, ca, b, cb):
-    """ca*a + cb*b with zero entries dropped."""
-    out = {}
-    for k, x in a.items():
-        y = ca * x
-        if y:
-            out[k] = y
-    for k, x in b.items():
-        y = out.get(k, 0) + cb * x
+def add_scaled(out, vec, c=1):
+    """out += c*vec in place, dropping entries that become zero; returns out."""
+    if not c:
+        return out
+    for k, x in vec.items():
+        y = out.get(k, 0) + c * x
         if y:
             out[k] = y
         elif k in out:
@@ -54,8 +56,9 @@ def vec_combine(a, ca, b, cb):
     return out
 
 
-def vec_sub(a, b):
-    return vec_combine(a, 1, b, -1)
+def vec_combine(a, ca, b, cb):
+    """ca*a + cb*b with zero entries dropped."""
+    return add_scaled({k: y for k, x in a.items() if (y := ca * x)}, b, cb)
 
 
 def apply_columns(columns, vec):
@@ -63,14 +66,8 @@ def apply_columns(columns, vec):
     out = {}
     for k, c in vec.items():
         col = columns.get(k)
-        if not col:
-            continue
-        for r, x in col.items():
-            y = out.get(r, 0) + c * x
-            if y:
-                out[r] = y
-            elif r in out:
-                del out[r]
+        if col:
+            add_scaled(out, col, c)
     return out
 
 
@@ -145,14 +142,8 @@ class Echelon:
                 continue
             p = row.vec[k]
             v = vec_combine(v, p, row.vec, -c)
-            nxt = {t: p * x for t, x in combo.items()}
-            for t, x in row.combo.items():
-                y = nxt.get(t, 0) + c * x
-                if y:
-                    nxt[t] = y
-                elif t in nxt:
-                    del nxt[t]
-            combo = nxt
+            combo = add_scaled({t: p * x for t, x in combo.items()},
+                               row.combo, c)
             scale = scale * p
         g = 0
         for x in v.values():
@@ -186,48 +177,22 @@ class Echelon:
             if not c:
                 continue
             merged = vec_combine(row.vec, p, new.vec, -c)
-            mcombo = {t: p * x for t, x in row.combo.items()}
-            for t, x in new.combo.items():
-                y = mcombo.get(t, 0) - c * x
-                if y:
-                    mcombo[t] = y
-                elif t in mcombo:
-                    del mcombo[t]
+            mcombo = add_scaled({t: p * x for t, x in row.combo.items()},
+                                new.combo, -c)
             row.vec, row.combo = _normalized(merged, mcombo)
         self.rows[k] = new
         return None
 
-
-class LinearSolver:
-    """Express right-hand sides over a fixed generating set.
-
-    Built once from (tag, vector) pairs, then answers repeated queries; a
-    query outside the span returns None.  Coefficients land only on the
-    generators that were independent at insertion time.
-    """
-
-    def __init__(self, generators):
-        self.ech = Echelon()
-        for tag, vec in generators:
-            self.ech.insert(vec, tag)
-
-    @property
-    def rank(self):
-        return self.ech.rank
-
     def express(self, vec):
-        v, combo, scale = self.ech.reduce(vec)
+        """vec over the inserted generators, or None outside their span.
+
+        Coefficients land only on generators that were independent when
+        inserted, so for a basis of the span the answer is unique.
+        """
+        v, combo, scale = self.reduce(vec)
         if v:
             return None
-        out = {}
-        for t, x in combo.items():
-            c = _div(x, scale)
-            if c:
-                out[t] = c
-        return out
-
-    def contains(self, vec):
-        return self.express(vec) is not None
+        return {t: y for t, x in combo.items() if (y := _div(x, scale))}
 
 
 def column_rank(columns):
@@ -235,23 +200,6 @@ def column_rank(columns):
     for k in sorted(columns):
         ech.insert(columns[k], k)
     return ech.rank
-
-
-def reduced_echelon(columns):
-    """Echelon data of a columns map: (rank, pivots, rows).
-
-    pivots lists the domain keys whose columns were independent, in sorted
-    order; rows maps each echelon pivot key to a (vector, combo) pair with
-    vector == sum(combo[k] * columns[k]).
-    """
-    ech = Echelon()
-    pivots = []
-    for k in sorted(columns):
-        if ech.insert(columns[k], k) is None:
-            pivots.append(k)
-    rows = {pk: (dict(row.vec), dict(row.combo))
-            for pk, row in ech.rows.items()}
-    return ech.rank, tuple(pivots), rows
 
 
 def kernel_basis(columns):
@@ -274,39 +222,33 @@ def kernel_basis(columns):
     return out
 
 
-def solve_columns(columns, rhs):
-    """One solution of columns * x = rhs with unused keys set to 0, or None."""
-    solver = LinearSolver((k, columns[k]) for k in sorted(columns))
-    return solver.express(rhs)
-
-
 class SubquotientBasis:
     """Cycles modulo boundaries of one slice, with chosen representatives.
 
-    express() writes a vector as rep coefficients modulo the boundary space;
-    the answer is None when the vector is not even a cycle (more precisely,
-    not in span(reps) + boundaries, which for cycles is the same thing).
+    echelon spans the boundaries (tagged ("b", j)) and the
+    representatives (tagged ("c", i)); nothing else.  express() writes a
+    vector as rep coefficients modulo the boundary space, keyed by
+    ascending rep index; the answer is None when the vector is not even a
+    cycle (more precisely, not in span(reps) + boundaries, which for
+    cycles is the same thing).
     """
 
-    def __init__(self, cycle_rank, boundary_rank, representatives, solver):
+    def __init__(self, cycle_rank, boundary_rank, representatives, echelon):
         self.cycle_rank = cycle_rank
         self.boundary_rank = boundary_rank
         self.representatives = representatives
-        self._solver = solver
+        self.echelon = echelon
 
     @property
     def betti(self):
         return len(self.representatives)
 
     def express(self, vec):
-        expr = self._solver.express(vec)
-        if expr is None:
+        v, combo, scale = self.echelon.reduce(vec)
+        if v:
             return None
-        out = {}
-        for t, c in expr.items():
-            if isinstance(t, tuple) and t[0] == "h" and c:
-                out[t[1]] = c
-        return out
+        return {i: _div(x, scale) for i, x in sorted(
+            (t[1], x) for t, x in combo.items() if t[0] == "c")}
 
     def is_boundary(self, vec):
         expr = self.express(vec)
@@ -320,6 +262,10 @@ def homology(boundary_in, boundary_out):
     neighbouring slice's basis); boundary_out gives the map leaving it,
     with a column, possibly empty, for every basis key of the slice.
     Raises CompositionError unless the composite vanishes.
+
+    Two eliminations: one for the cycles, and one echelon holding the
+    boundaries and then the cycles, whose independent cycles become the
+    representatives.  That echelon answers every later express() query.
     """
     for k in sorted(boundary_in):
         img = apply_columns(boundary_out, boundary_in[k])
@@ -328,21 +274,16 @@ def homology(boundary_in, boundary_out):
 
     cycles = kernel_basis(boundary_out)
 
-    bech = Echelon()
-    bvecs = []
+    ech = Echelon()
     for k in sorted(boundary_in):
         col = boundary_in[k]
-        if col and bech.insert(col, ("b", len(bvecs))) is None:
-            bvecs.append(col)
-    boundary_rank = bech.rank
+        if col:
+            ech.insert(col, ("b", ech.rank))
+    boundary_rank = ech.rank
 
     reps = []
     for cyc in cycles:
-        if bech.insert(cyc, ("c", len(reps))) is None:
+        if ech.insert(cyc, ("c", len(reps))) is None:
             reps.append(cyc)
 
-    gens = [(("h", i), r) for i, r in enumerate(reps)]
-    gens += [(("b", j), v) for j, v in enumerate(bvecs)]
-    solver = LinearSolver(gens)
-
-    return SubquotientBasis(len(cycles), boundary_rank, reps, solver)
+    return SubquotientBasis(len(cycles), boundary_rank, reps, ech)

@@ -43,6 +43,20 @@ def test_validate_broken_model_file(tmp_path, capsys):
     assert "rule" in out
 
 
+def test_reports_refuse_invalid_model(tmp_path, capsys):
+    """A model whose only product is 1·x = x breaks the unit law; the
+    report commands name the rule and exit 1 instead of reporting."""
+    doc = dga_to_doc(model("sphere:2"))
+    doc["products"] = [{"left": "1", "right": "x", "result": {"x": "1"}}]
+    path = tmp_path / "unit_broken.json"
+    path.write_text(json.dumps(doc))
+    for command in ("loop-homology", "bar-betti", "bracket"):
+        code, out, err = run(capsys, [command, str(path)])
+        assert code == 1, command
+        assert out == "", command
+        assert "unit/identity" in err, command
+
+
 def test_model_source_is_exclusive(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(dga_to_doc(model("sphere:2"))))

@@ -1,5 +1,7 @@
 """Finite graded algebra models: construction, validation, builtins."""
 
+import copy
+import random
 from fractions import Fraction
 
 import pytest
@@ -113,6 +115,62 @@ def test_parse_rejects_duplicate_names():
     doc["basis"] = ["1", "1"]
     with pytest.raises(ParseError):
         build_dga(doc)
+
+
+_JUNK = (None, True, 0, -1, 7, 1.5, "", "x", "1/0", "2/3", [], ["x"], {},
+         {"x": 1}, [{"from": "x"}], {"name": "x", "degree": 1})
+
+
+def _mutate(rng, doc):
+    """One random edit inside a JSON-shaped value: drop a key or entry,
+    or overwrite it with junk or with a copy of another container."""
+    nodes, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        children = node.values() if isinstance(node, dict) else node
+        stack.extend(c for c in children if isinstance(c, (dict, list)))
+    node = rng.choice([n for n in nodes if n])
+    key = rng.choice(list(node) if isinstance(node, dict)
+                     else range(len(node)))
+    op = rng.randrange(3)
+    if op == 0:
+        del node[key]
+    elif op == 1:
+        node[key] = copy.deepcopy(rng.choice(_JUNK))
+    else:
+        node[key] = copy.deepcopy(rng.choice(nodes))
+
+
+def test_build_fuzz_raises_only_model_errors():
+    """Malformed documents raise ParseError; seeded mutations of valid
+    documents either build or raise a ModelError subclass, never anything
+    else."""
+    for key, value in [
+            ("differential", [{"from": "x"}]),
+            ("products", [{"right": "x", "result": {"x": 1}}]),
+            ("products", [{"left": "1", "right": "x", "result": ["x"]}]),
+            ("orientation", ["x"]),
+            ("differential", "abc"),
+            ("differential", [{"from": ["x"], "to": {}}]),
+            ("unit", {"name": "1"}),
+            ("top_degree", True)]:
+        doc = dga_to_doc(model("sphere:2"))
+        doc[key] = value
+        with pytest.raises(ParseError):
+            build_dga(doc)
+
+    rng = random.Random(2)
+    docs = [dga_to_doc(model(mid)) for mid in
+            ("sphere:2", "torus:2", "surface:1", "acyclic_extension:sphere:2")]
+    for _ in range(500):
+        doc = copy.deepcopy(rng.choice(docs))
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, doc)
+        try:
+            build_dga(doc)
+        except ModelError:
+            pass
 
 
 def test_doc_roundtrip():

@@ -5,19 +5,30 @@ from fractions import Fraction
 
 import pytest
 
-from looptop.linalg import (CompositionError, Echelon, LinearSolver,
+from looptop.linalg import (CompositionError, Echelon, acc, add_scaled,
                             apply_columns, column_rank, compose_columns,
-                            homology, kernel_basis, reduced_echelon,
-                            solve_columns, vec_combine, vec_scaled, vec_sub)
+                            homology, kernel_basis, vec_combine)
 
 
 def test_vec_helpers_drop_zeros():
     a = {"x": 2, "y": -1}
     b = {"y": -1, "z": 4}
     assert vec_combine(a, 1, b, -1) == {"x": 2, "z": -4}
-    assert vec_sub(a, a) == {}
-    assert vec_scaled(a, 0) == {}
-    assert vec_scaled(a, Fraction(1, 2)) == {"x": 1, "y": Fraction(-1, 2)}
+    assert vec_combine(a, 1, a, -1) == {}
+    assert vec_combine(a, 0, {}, 0) == {}
+    assert vec_combine(a, Fraction(1, 2), {}, 0) == {"x": 1,
+                                                     "y": Fraction(-1, 2)}
+    out = {"x": 1}
+    assert add_scaled(out, a, 0) is out and out == {"x": 1}
+    add_scaled(out, a, -1)
+    assert out == {"x": -1, "y": 1}
+    add_scaled(out, {"x": 1, "y": -1})
+    assert out == {}
+    acc(out, "x", 3)
+    acc(out, "x", 0)
+    assert out == {"x": 3}
+    acc(out, "x", -3)
+    assert out == {}
 
 
 def test_apply_and_compose_columns():
@@ -45,7 +56,7 @@ def test_echelon_reduce_identity():
         probe = {k: rng.randint(-3, 3) for k in rng.sample(keys, 4)}
         probe = {k: c for k, c in probe.items() if c}
         residual, combo, scale = ech.reduce(probe)
-        recon = vec_scaled(probe, scale)
+        recon = vec_combine(probe, scale, {}, 0)
         for t, c in combo.items():
             recon = vec_combine(recon, 1, inserted[t], -c)
         assert recon == residual
@@ -68,21 +79,32 @@ def test_echelon_rows_stay_integer_content_one():
         assert all(isinstance(x, int) for x in row.vec.values())
 
 
-def test_linear_solver_express():
-    gens = [("e0", {"x": 1, "y": 1}), ("e1", {"y": 1, "z": 1})]
-    solver = LinearSolver(gens)
-    assert solver.rank == 2
-    got = solver.express({"x": 2, "y": 3, "z": 1})
+def _echelon_of(columns):
+    """Insert columns in sorted key order: (independent keys, rows)."""
+    ech = Echelon()
+    pivots = tuple(k for k in sorted(columns)
+                   if ech.insert(columns[k], k) is None)
+    rows = {pk: (dict(row.vec), dict(row.combo))
+            for pk, row in ech.rows.items()}
+    return pivots, rows
+
+
+def test_echelon_express():
+    ech = Echelon()
+    ech.insert({"x": 1, "y": 1}, "e0")
+    ech.insert({"y": 1, "z": 1}, "e1")
+    assert ech.rank == 2
+    got = ech.express({"x": 2, "y": 3, "z": 1})
     assert got == {"e0": 2, "e1": 1}
-    assert solver.express({"x": 1}) is None
-    assert solver.contains({"x": 1, "y": 2, "z": 1})
+    assert ech.express({"x": 1}) is None
+    assert ech.express({"x": 1, "y": 2, "z": 1}) is not None
 
 
-def test_column_rank_and_reduced_echelon():
+def test_column_rank_and_echelon_rows():
     cols = {0: {"a": 1, "b": 1}, 1: {"a": 2, "b": 2}, 2: {"b": 1}}
     assert column_rank(cols) == 2
-    rank, pivots, rows = reduced_echelon(cols)
-    assert rank == 2
+    pivots, rows = _echelon_of(cols)
+    assert len(rows) == 2
     assert pivots == (0, 2)
     for vec, combo in rows.values():
         recon = {}
@@ -110,12 +132,15 @@ def test_kernel_basis_members_map_to_zero():
         assert vec[max(vec)] == 1
 
 
-def test_solve_columns():
+def test_echelon_express_solves_columns():
     cols = {"u": {"a": 2}, "v": {"a": 1, "b": 1}}
-    sol = solve_columns(cols, {"a": 3, "b": 1})
+    ech = Echelon()
+    for k in sorted(cols):
+        ech.insert(cols[k], k)
+    sol = ech.express({"a": 3, "b": 1})
     recon = apply_columns(cols, sol)
     assert recon == {"a": 3, "b": 1}
-    assert solve_columns(cols, {"c": 1}) is None
+    assert ech.express({"c": 1}) is None
 
 
 def test_homology_circle():
@@ -155,7 +180,36 @@ def test_determinism_same_input_same_output():
     for j in range(10):
         cols[j] = {k: rng.randint(-5, 5) for k in rng.sample(range(6), 3)}
         cols[j] = {k: c for k, c in cols[j].items() if c}
-    first = reduced_echelon(dict(sorted(cols.items(), reverse=True)))
-    second = reduced_echelon(cols)
+    first = _echelon_of(dict(sorted(cols.items(), reverse=True)))
+    second = _echelon_of(cols)
     assert first == second
     assert kernel_basis(cols) == kernel_basis(dict(cols))
+
+
+def test_homology_express_recovers_rep_coefficients():
+    """express(sum c_i rep_i + boundary) is exactly {i: c_i}, keys
+    ascending, on seeded random three-term complexes C2 -> C1 -> C0."""
+    rng = random.Random(12)
+    for _ in range(40):
+        n1, n0 = rng.randint(4, 7), rng.randint(1, 3)
+        d_out = {}
+        for j in range(n1):
+            d_out[j] = {k: c for k in range(n0)
+                        if (c := rng.randint(-2, 2))}
+        kern = kernel_basis(d_out)
+        d_in = {}
+        for j in range(rng.randint(0, 3)):
+            col = {}
+            for z in kern:
+                add_scaled(col, z, rng.randint(-2, 2))
+            d_in[("e", j)] = col
+        h = homology(d_in, d_out)
+        assert h.betti == len(kern) - h.boundary_rank
+        coeffs = [rng.choice([0, 1, -2, Fraction(1, 3)])
+                  for _ in h.representatives]
+        vec = apply_columns(d_in, {k: rng.randint(-3, 3) for k in d_in})
+        for c, rep in zip(coeffs, h.representatives):
+            add_scaled(vec, rep, c)
+        got = h.express(vec)
+        assert got == {i: c for i, c in enumerate(coeffs) if c}
+        assert list(got) == sorted(got)
