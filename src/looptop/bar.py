@@ -47,11 +47,6 @@ def bar_d(A, word):
     return out
 
 
-def bar_coproduct(word):
-    """Deconcatenation: all (prefix, suffix) splits, ends included."""
-    return [(word[:i], word[i:]) for i in range(len(word) + 1)]
-
-
 def words_by_degree(A, max_weight):
     """All words of weight <= max_weight bucketed by bar degree.
 

@@ -51,7 +51,8 @@ def _build_parser():
     p.add_argument("--min", type=int, default=None, dest="min_degree")
     p.add_argument("--max", type=int, default=None, dest="max_degree")
     p.add_argument("--cutoff", type=int, default=None,
-                   help="weight cutoff (default: max degree + 1 + top)")
+                   help="weight cutoff (default: max degree + 1 + top; "
+                        "required for models with degree-1 generators)")
 
     p = sub.add_parser("bar-betti",
                        help="bar homology Betti numbers per degree")
@@ -146,6 +147,10 @@ def _cmd_loop_homology(args):
         raise UsageError(f"degenerate degree range {lo}..{hi}")
     cutoff = args.cutoff
     if cutoff is None:
+        if not A.simply_connected:
+            raise UsageError(
+                f"model {A.label} has degree-1 generators, so no weight "
+                "cutoff is exact; give --cutoff")
         cutoff = max(hi + 1 + A.top_degree, 0)
     if cutoff < 0:
         raise UsageError("cutoff must be non-negative")

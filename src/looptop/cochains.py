@@ -14,11 +14,9 @@ structure maps (co_d, co_split, co_left_mul), which keeps the large
 acceptance sweeps fast.
 """
 
-import itertools
-
 from .linalg import acc, add_scaled, compose_columns, homology
 from .bar import (HomologyPresentation, bar_degree, prefix_degrees,
-                  words_by_degree, _min_letter_degree, word_str)
+                  slice_complete as bar_complete, words_by_degree, word_str)
 
 
 class GradingError(ValueError):
@@ -90,13 +88,6 @@ class _Cochain:
         out.degree = self.degree
         return out
 
-    def by_word(self):
-        """Group entries as word -> {value index: coeff}."""
-        out = {}
-        for (w, val), c in self.entries.items():
-            out.setdefault(w, {})[val] = c
-        return out
-
     def __eq__(self, other):
         if self.__class__ is not other.__class__:
             return NotImplemented
@@ -117,14 +108,6 @@ class Cochain(_Cochain):
     def _entry_degree(self, A, word, val):
         return _entry_degree_to_A(A, word, val)
 
-    def value(self, word):
-        """The algebra chain assigned to one word."""
-        out = {}
-        for (w, a), c in self.entries.items():
-            if w == word:
-                out[a] = c
-        return out
-
 
 class DualCochain(_Cochain):
     """Word -> functional assignments (the dual flavour)."""
@@ -133,11 +116,6 @@ class DualCochain(_Cochain):
 
     def _entry_degree(self, A, word, val):
         return _entry_degree_dual(A, word, val)
-
-    def pair(self, word, chain):
-        """Evaluate phi(word) on an algebra chain."""
-        return sum((self.entries.get((word, b), 0) * c
-                    for b, c in chain.items()), 0)
 
 
 def unit_cochain(A):
@@ -272,22 +250,14 @@ def cup(A, phi1, phi2, weight_cutoff=None):
     return Cochain(A, out, degree=n1 + n2)
 
 
-def _max_needed_weight(A, variant, degree):
-    """Largest weight a degree-n entry can have, or -1 if none exist."""
-    m = _min_letter_degree(A)
-    best = -1
-    for q in sorted(set(A.degrees)):
-        beta = degree + q if variant == "to_A" else degree - q
-        if beta >= 0:
-            best = max(best, beta // m)
-    return best
-
-
 def slice_complete(A, variant, degree, weight_cutoff):
-    """Whether the cutoff provably captures every entry of this degree."""
-    if not A.simply_connected:
-        return False
-    return weight_cutoff >= _max_needed_weight(A, variant, degree)
+    """Whether the cutoff provably captures every entry of this degree:
+    each bar degree the slice draws words from must be complete (never
+    the case for a model with degree-1 letters)."""
+    sign = 1 if variant == "to_A" else -1
+    return all(
+        bar_complete(A, degree + sign * q, weight_cutoff)
+        for q in set(A.degrees))
 
 
 class ComplexSlice:
@@ -455,129 +425,3 @@ def loop_homology(A, degree_range, weight_cutoff):
     """Loop-space style homology ring of a model over a degree window."""
     pres = hochschild_homology(A, "to_A", degree_range, weight_cutoff)
     return LoopHomology(A, degree_range, weight_cutoff, pres)
-
-
-def _letter_words(A, max_len, min_len=1):
-    for r in range(min_len, max_len + 1):
-        yield from itertools.product(A.letters, repeat=r)
-
-
-def _eval_to_A(A, phi, slots):
-    """phi on a word whose slots are chains: multilinear expansion.
-
-    slots is a tuple of dicts index -> coeff (single letters are unit
-    chains); returns the value chain.
-    """
-    out = {}
-    for combo in itertools.product(*[sorted(ch.items()) for ch in slots]):
-        word = tuple(i for i, _ in combo)
-        if any(A.degrees[i] < 1 for i in word):
-            continue
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
-        for a, cv in phi.value(word).items():
-            acc(out, a, coeff * cv)
-    return out
-
-
-def _eval_dual(A, phi, slots, test):
-    """phi on a chain-slotted word, paired against a test chain."""
-    total = 0
-    for combo in itertools.product(*[sorted(ch.items()) for ch in slots]):
-        word = tuple(i for i, _ in combo)
-        if any(A.degrees[i] < 1 for i in word):
-            continue
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
-        total += coeff * phi.pair(word, test)
-    return total
-
-
-def normalization_violations(A, phi, max_len=None):
-    """Witnesses against the unit-absorption equations.
-
-    Three families relate inserting a degree-0 element f to absorbing it
-    into a neighbouring letter (or the test slot, for duals) and to the
-    word extended by df.  Empty base words are out of scope; equations are
-    checked for base words up to the cochain's weight support.
-    """
-    if max_len is None:
-        max_len = phi.weight_support
-    zeros = [i for i, q in enumerate(A.degrees) if q == 0]
-    dual = phi.variant == "to_dual"
-    tests = ([{b: 1} for b in A.letters] if dual else [None])
-    bad = []
-
-    def unit_chains(word):
-        return [{i: 1} for i in word]
-
-    for word in _letter_words(A, max_len):
-        r = len(word)
-        for f in zeros:
-            fch = {f: 1}
-            df = A.d(f)
-            for test in tests:
-                # family 1: f strictly inside the word
-                for i in range(1, r):
-                    slots = unit_chains(word)
-                    left = list(slots)
-                    left[i - 1] = A.wedge(fch, {word[i - 1]: 1})
-                    mid = list(slots)
-                    mid[i] = A.wedge(fch, {word[i]: 1})
-                    ins = slots[:i] + [df] + slots[i:]
-                    if dual:
-                        val = (-_eval_dual(A, phi, left, test)
-                               + _eval_dual(A, phi, mid, test)
-                               + _eval_dual(A, phi, ins, test))
-                        if val:
-                            bad.append(("interior", word, i, f, val))
-                    else:
-                        v = add_scaled({}, _eval_to_A(A, phi, left), -1)
-                        add_scaled(v, _eval_to_A(A, phi, mid))
-                        add_scaled(v, _eval_to_A(A, phi, ins))
-                        if v:
-                            bad.append(("interior", word, i, f, v))
-                # family 2: f at the front
-                first = unit_chains(word)
-                first[0] = A.wedge(fch, {word[0]: 1})
-                front = [df] + unit_chains(word)
-                if dual:
-                    val = (-_eval_dual(A, phi, unit_chains(word),
-                                       A.wedge(fch, test))
-                           + _eval_dual(A, phi, first, test)
-                           + _eval_dual(A, phi, front, test))
-                    if val:
-                        bad.append(("front", word, 0, f, val))
-                else:
-                    v = add_scaled({}, A.wedge(fch, _eval_to_A(
-                        A, phi, unit_chains(word))), -1)
-                    add_scaled(v, _eval_to_A(A, phi, first))
-                    add_scaled(v, _eval_to_A(A, phi, front))
-                    if v:
-                        bad.append(("front", word, 0, f, v))
-                # family 3: f at the back
-                last = unit_chains(word)
-                last[-1] = A.wedge(fch, {word[-1]: 1})
-                back = unit_chains(word) + [df]
-                if dual:
-                    val = (-_eval_dual(A, phi, last, test)
-                           + _eval_dual(A, phi, unit_chains(word),
-                                        A.wedge(fch, test))
-                           + _eval_dual(A, phi, back, test))
-                    if val:
-                        bad.append(("back", word, r, f, val))
-                else:
-                    v = add_scaled({}, _eval_to_A(A, phi, last), -1)
-                    add_scaled(v, A.wedge(_eval_to_A(A, phi,
-                                                     unit_chains(word)), fch))
-                    add_scaled(v, _eval_to_A(A, phi, back))
-                    if v:
-                        bad.append(("back", word, r, f, v))
-    return bad
-
-
-def normalization_check(A, phi, max_len=None):
-    """True when every unit-absorption equation holds for this cochain."""
-    return not normalization_violations(A, phi, max_len)

@@ -455,26 +455,6 @@ def _pairing_nondegenerate(A, hom, q):
     return len(lreps) == len(rreps) and column_rank(cols) == len(lreps)
 
 
-class PairingReport:
-    """Per-degree non-degeneracy of the orientation pairing on homology."""
-
-    def __init__(self, homology_nondegenerate):
-        self.homology_nondegenerate = homology_nondegenerate
-
-    @property
-    def nondegenerate(self):
-        return all(self.homology_nondegenerate.values())
-
-
-def orientation_pairing(A):
-    """Whether H^q × H^{top - q} -> ℚ is perfect, for q = 0..top."""
-    if A.orientation is None:
-        raise OrientationError(f"model {A.label} has no orientation")
-    hom = dga_homology(A)
-    return PairingReport({q: _pairing_nondegenerate(A, hom, q)
-                          for q in range(A.top_degree + 1)})
-
-
 def builtin_model(model_id, *params):
     """Look up a builtin model: sphere, complex_projective, surface, torus,
     acyclic_extension.  Accepts either ("sphere", 3) or the colon form

@@ -14,10 +14,10 @@ one), and the bracket of two degree-0 dual classes is
 import itertools
 
 from .linalg import Echelon, acc, column_rank, homology
-from .bar import bar_degree, prefix_degrees, words_by_degree
+from .bar import bar_degree, words_by_degree
 from .dga import OrientationError
 from .cochains import (Cochain, DualCochain, GradingError, assemble_complex,
-                       cup, delta_to_dual)
+                       cup, delta_to_dual, _delta_entry_dual)
 
 
 class NotInImageError(ValueError):
@@ -391,24 +391,6 @@ class E1Report:
         return f"E1Report(p={self.p}, match={self.match})"
 
 
-def _quotient_delta_entry(A, v, c_val):
-    """Coboundary in the weight-graded quotient: only the value
-    differential and the letterwise differential survive."""
-    out = {}
-    for b, cd in A.co_d.get(c_val, ()):
-        acc(out, (v, b), cd)
-    s2 = -1 if A.degrees[c_val] % 2 else 1
-    eps = prefix_degrees(A, v)
-    for idx, vi in enumerate(v):
-        sign = -1 if eps[idx] % 2 == 0 else 1
-        for ell, cd in A.co_d.get(vi, ()):
-            if A.degrees[ell] < 1:
-                continue
-            w = v[:idx] + (ell,) + v[idx + 1:]
-            acc(out, (w, c_val), s2 * sign * cd)
-    return out
-
-
 def e1_term(A, p):
     """Compare the weight-p layer's homology with the closed formula.
 
@@ -429,7 +411,9 @@ def e1_term(A, p):
     for n in basis_by_degree:
         basis_by_degree[n].sort(key=lambda key: (key[0], key[1]))
     degrees = sorted(basis_by_degree)
-    columns = {n: {key: _quotient_delta_entry(A, key[0], key[1])
+    # at cutoff p the weight-raising terms drop out, leaving the value
+    # differential and the letterwise differential of the quotient
+    columns = {n: {key: _delta_entry_dual(A, key[0], key[1], p)
                    for key in basis_by_degree[n]}
                for n in degrees}
     quotient_dims = {}

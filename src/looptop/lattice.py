@@ -106,32 +106,6 @@ def jadic_reduce(x, p):
     return coords
 
 
-def in_jadic(x, p):
-    """Whether x lies in the p-th power of the augmentation ideal."""
-    return not jadic_reduce(x, p)
-
-
-def jadic_dim(p):
-    return p * (p + 1) // 2
-
-
-class JadicClass:
-    """A group-ring element considered modulo J^p."""
-
-    def __init__(self, element, p):
-        self.element = element
-        self.p = p
-        self.coords = jadic_reduce(element, p)
-
-    def __eq__(self, other):
-        if not isinstance(other, JadicClass):
-            return NotImplemented
-        return self.p == other.p and self.coords == other.coords
-
-    def __repr__(self):
-        return f"JadicClass(p={self.p}, {len(self.coords)} coords)"
-
-
 def goldman_torus(u, v):
     """Combinatorial bracket of two lattice loops: det times the sum."""
     det = u[0] * v[1] - u[1] * v[0]
@@ -189,32 +163,6 @@ def group_ring_to_cochain(A, x, weight_cutoff):
     for u, c in x.terms.items():
         out = out.add(holonomy_cochain(A, u, weight_cutoff).scale(c))
     return out
-
-
-class E1HolonomyError(ValueError):
-    """Loop count does not match the requested arity."""
-
-
-def holonomy_functional(A, loops, p):
-    """Top-layer functional of a loop tuple: the product of windings.
-
-    table[(i_1..i_p)] = prod_k <loops[k], letter i_k>; the k-th slot reads
-    the k-th loop only, so concatenating loop tuples multiplies tables.
-    """
-    from .duality import E1Functional
-
-    if len(loops) != p:
-        raise E1HolonomyError(f"expected {p} loops, got {len(loops)}")
-    slot = _winding(A)
-    deg1 = A.basis_of_degree(1)
-    table = {}
-    for word in itertools.product(deg1, repeat=p):
-        val = 1
-        for k, i in enumerate(word):
-            val *= loops[k][slot[i]]
-        if val:
-            table[word] = val
-    return E1Functional(p, table)
 
 
 class Pi1Report:

@@ -16,12 +16,12 @@ import zlib
 from conftest import MODEL_IDS, model, random_cochain, slice_bases
 from looptop.bar import bar_d_squared_zero, bar_homology
 from looptop.cochains import (DualCochain, cup, delta_squared_zero,
-                              delta_to_A, hochschild_homology, loop_homology)
+                              delta_to_A, hochschild_homology, loop_homology,
+                              _delta_entry_dual)
 from looptop.duality import (E1Functional, bracket, connes_B,
                              dual_cochain_of_e1, e1_bracket,
                              e1_of_dual_cochain, e1_term, poincare_P,
-                             poincare_P_chain_inverse, symplectic_basis,
-                             _quotient_delta_entry)
+                             poincare_P_chain_inverse, symplectic_basis)
 from looptop.lattice import (compare_pi1_dimensions, goldman_torus,
                              group_ring_to_cochain, holonomy_cochain)
 from test_bar import dense_betti
@@ -255,7 +255,8 @@ def test_criterion_10_e1_bracket_matches_full_pipeline():
     for n in range(1, 5):
         for w in itertools.product(t2.letters, repeat=n):
             for val in range(t2.dim):
-                assert _quotient_delta_entry(t2, w, val) == {}
+                # cutoff len(w): the weight-graded quotient coboundary
+                assert _delta_entry_dual(t2, w, val, n) == {}
     symp = symplectic_basis(t2)
     checked = 0
     for p in (1, 2, 3):

@@ -10,8 +10,8 @@ import itertools
 from fractions import Fraction
 
 from conftest import model
-from looptop.bar import (bar_coproduct, bar_d, bar_d_squared_zero, bar_degree,
-                         bar_homology, bar_slice, prefix_degrees,
+from looptop.bar import (bar_d, bar_d_squared_zero, bar_degree, bar_homology,
+                         bar_slice, prefix_degrees,
                          slice_complete, words_by_degree)
 from looptop.linalg import apply_columns
 
@@ -206,10 +206,3 @@ def test_bar_homology_representatives_are_cycles():
         assert apply_columns(slc.d_columns, dict(rep)) == {}
 
 
-def test_bar_coproduct_splits():
-    w = (3, 1, 2)
-    splits = bar_coproduct(w)
-    assert len(splits) == 4
-    assert splits[0] == ((), w) and splits[-1] == (w, ())
-    for left, right in splits:
-        assert left + right == w

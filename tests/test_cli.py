@@ -113,6 +113,16 @@ def test_loop_homology_degenerate_range(capsys):
     assert code == 2
 
 
+def test_loop_homology_needs_cutoff_with_degree_one_letters(capsys):
+    """No weight cutoff is exact when the model has degree-1 generators,
+    so the default (which grows without bound there) is refused."""
+    for mid in ("torus:2", "surface:1", "acyclic_extension:torus:1"):
+        code, out, err = run(capsys, ["loop-homology", "--model", mid])
+        assert code == 2, mid
+        assert out == "", mid
+        assert "degree-1 generators" in err and "--cutoff" in err, mid
+
+
 def test_loop_homology_json(capsys):
     code, out, _ = run(capsys, ["loop-homology", "--model", "sphere:3",
                                 "--min", "-3", "--max", "5", "--cutoff", "8",

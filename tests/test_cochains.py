@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from conftest import model, random_cochain, slice_bases
+from conftest import MODEL_IDS, model, random_cochain, slice_bases
 from looptop.cochains import (Cochain, DualCochain, GradingError,
                               assemble_complex, cup, delta_squared_zero,
                               delta_to_A, delta_to_dual, hochschild_homology,
-                              loop_homology, normalization_check,
-                              unit_cochain)
+                              loop_homology, slice_complete, unit_cochain)
+from looptop.dga import builtin_model
 
 
 def test_cochain_degree_bookkeeping():
@@ -122,6 +122,28 @@ def test_assemble_complex_slice():
     assert not slc.complete
 
 
+def test_slice_complete_means_no_larger_cutoff_adds_entries():
+    """Whenever a slice is flagged complete, three more weight layers add
+    no basis entries; the flag count is frozen so a rule that turns
+    needlessly conservative fails too.  Fresh models keep the weight-8
+    word tables out of the shared cache."""
+    checked = 0
+    for mid in MODEL_IDS:
+        A = builtin_model(mid)
+        if not A.simply_connected:
+            continue
+        for variant in ("to_A", "to_dual"):
+            for n in range(-6, 7):
+                for c in range(6):
+                    if not slice_complete(A, variant, n, c):
+                        continue
+                    small = assemble_complex(A, variant, n, c).dim
+                    large = assemble_complex(A, variant, n, c + 3).dim
+                    assert small == large, (mid, variant, n, c)
+                    checked += 1
+    assert checked == 499
+
+
 def test_torus_h0_dimensions_by_cutoff():
     t2 = model("torus:2")
     for c in range(5):
@@ -164,14 +186,3 @@ def test_sphere2_loop_betti():
     assert all(L.exact[n] for n in range(-2, 7))
 
 
-def test_normalization_check_basics():
-    t2 = model("torus:2")
-    assert normalization_check(t2, unit_cochain(t2))
-    assert normalization_check(t2, Cochain(t2, {((1,), 0): 1}, degree=0))
-    assert normalization_check(t2, DualCochain(t2, {((1, 2), 0): 1}))
-
-
-def test_by_word_grouping():
-    t2 = model("torus:2")
-    phi = Cochain(t2, {((1,), 1): 2, ((2,), 1): 5}, degree=-1)
-    assert phi.by_word() == {(1,): {1: 2}, (2,): {1: 5}}
