@@ -59,7 +59,9 @@ def _build_parser():
     add_model_args(p)
     p.add_argument("--min", type=int, default=0, dest="min_degree")
     p.add_argument("--max", type=int, default=None, dest="max_degree")
-    p.add_argument("--max-weight", type=int, default=None)
+    p.add_argument("--max-weight", type=int, default=None,
+                   help="weight cutoff (default: max degree; required "
+                        "for models with degree-1 generators)")
 
     p = sub.add_parser("bracket",
                        help="bracket table of degree-0 dual classes "
@@ -108,6 +110,16 @@ def _load_valid_model(args):
     return A
 
 
+def _refuse_default_weight(A, flag):
+    """A default weight is refused on a model with degree-1 generators:
+    no weight is exact there, and words of every length share a degree,
+    so the default enumeration grows without bound."""
+    if not A.simply_connected:
+        raise UsageError(
+            f"model {A.label} has degree-1 generators, so no weight "
+            f"cutoff is exact; give {flag}")
+
+
 def _emit(text):
     sys.stdout.write(text)
 
@@ -147,10 +159,7 @@ def _cmd_loop_homology(args):
         raise UsageError(f"degenerate degree range {lo}..{hi}")
     cutoff = args.cutoff
     if cutoff is None:
-        if not A.simply_connected:
-            raise UsageError(
-                f"model {A.label} has degree-1 generators, so no weight "
-                "cutoff is exact; give --cutoff")
+        _refuse_default_weight(A, "--cutoff")
         cutoff = max(hi + 1 + A.top_degree, 0)
     if cutoff < 0:
         raise UsageError("cutoff must be non-negative")
@@ -181,6 +190,7 @@ def _cmd_bar_betti(args):
         raise UsageError(f"degenerate degree range {lo}..{hi}")
     max_weight = args.max_weight
     if max_weight is None:
+        _refuse_default_weight(A, "--max-weight")
         max_weight = max(hi, 0)
     hom = bar_homology(A, (lo, hi), max_weight)
     if args.format == "json":

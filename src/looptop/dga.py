@@ -12,6 +12,7 @@ the same sparse convention the linear algebra layer uses.
 
 from fractions import Fraction
 import itertools
+import math
 
 from .linalg import (CompositionError, acc, add_scaled, column_rank, homology,
                      vec_combine)
@@ -455,67 +456,15 @@ def _pairing_nondegenerate(A, hom, q):
     return len(lreps) == len(rreps) and column_rank(cols) == len(lreps)
 
 
-def builtin_model(model_id, *params):
-    """Look up a builtin model: sphere, complex_projective, surface, torus,
-    acyclic_extension.  Accepts either ("sphere", 3) or the colon form
-    "sphere:3"; acyclic_extension takes a base id, e.g.
-    "acyclic_extension:surface:1".
-    """
-    if isinstance(model_id, str) and ":" in model_id and not params:
-        family, rest = model_id.split(":", 1)
-        if family == "acyclic_extension":
-            return acyclic_extension(builtin_model(rest))
-        try:
-            params = tuple(int(p) for p in rest.split(":"))
-        except ValueError:
-            raise ModelError(f"invalid parameters in {model_id!r}") from None
-        return builtin_model(family, *params)
+def _truncated_polynomial(d, h, label):
+    """Q[x]/(x^{h+1}) with |x| = d: basis 1, x, x2, ..., xh.
 
-    family = model_id
-    if family == "acyclic_extension":
-        if len(params) != 1 or not isinstance(params[0], DGA):
-            raise ModelError(
-                "acyclic_extension takes a base model or a base id string")
-        return acyclic_extension(params[0])
-    if len(params) != 1 or not isinstance(params[0], int):
-        raise ModelError(f"{family} takes exactly one integer parameter")
-    n = params[0]
-    if family == "sphere":
-        if n < 2:
-            raise ModelError("sphere(n) needs n >= 2")
-        return _sphere(n)
-    if family == "complex_projective":
-        if n < 1:
-            raise ModelError("complex_projective(n) needs n >= 1")
-        return _complex_projective(n)
-    if family == "surface":
-        if n < 1:
-            raise ModelError("surface(g) needs g >= 1")
-        return _surface(n)
-    if family == "torus":
-        if not 1 <= n <= 9:
-            raise ModelError("torus(k) supported for 1 <= k <= 9")
-        return _torus(n)
-    raise ModelError(f"unknown builtin model {family!r}")
-
-
-def _sphere(n):
-    product = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
-    return DGA(["1", "x"], [0, n], 0, product, {}, n,
-               orientation={1: 1}, commutative=True, label=f"sphere({n})")
-
-
-def _complex_projective(n):
-    names = ["1"] + [("x" if k == 1 else f"x{k}") for k in range(1, n + 1)]
-    degrees = [2 * k for k in range(n + 1)]
-    product = {}
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if i + j <= n:
-                product[(i, j)] = {i + j: 1}
-    return DGA(names, degrees, 0, product, {}, 2 * n,
-               orientation={n: 1}, commutative=True,
-               label=f"complex_projective({n})")
+    Graded commutative when d is even or h = 1."""
+    names = ["1"] + [("x" if k == 1 else f"x{k}") for k in range(1, h + 1)]
+    product = {(i, j): {i + j: 1}
+               for i in range(h + 1) for j in range(h + 1) if i + j <= h}
+    return DGA(names, [d * k for k in range(h + 1)], 0, product, {}, d * h,
+               orientation={h: 1}, commutative=True, label=label)
 
 
 def _surface(g):
@@ -555,62 +504,97 @@ def _torus(k):
                label=f"torus({k})")
 
 
-def acyclic_extension(base):
-    """Tensor the model with a contractible factor span(1, e, de).
+# family -> (builder, smallest parameter, largest parameter, range message)
+_FAMILIES = {
+    "sphere": (lambda n: _truncated_polynomial(n, 1, f"sphere({n})"),
+               2, math.inf, "sphere(n) needs n >= 2"),
+    "complex_projective": (
+        lambda n: _truncated_polynomial(2, n, f"complex_projective({n})"),
+        1, math.inf, "complex_projective(n) needs n >= 1"),
+    "surface": (_surface, 1, math.inf, "surface(g) needs g >= 1"),
+    "torus": (_torus, 1, 9, "torus(k) supported for 1 <= k <= 9"),
+}
 
-    The factor has |e| = top_degree + 1, so the extension keeps the same
-    homology (dimension-wise per degree) while enlarging the algebra;
-    orientation extends by zero on the new elements.
+
+def builtin_model(model_id):
+    """The builtin model named by a colon id: sphere:n, complex_projective:n,
+    surface:g, torus:k, or acyclic_extension:<base id>, e.g.
+    "acyclic_extension:surface:1"."""
+    family, colon, rest = model_id.partition(":")
+    if family == "acyclic_extension":
+        if not colon:
+            raise ModelError("acyclic_extension takes a base id, "
+                             "e.g. acyclic_extension:sphere:3")
+        return acyclic_extension(builtin_model(rest))
+    try:
+        params = [int(p) for p in rest.split(":")] if colon else []
+    except ValueError:
+        raise ModelError(f"invalid parameters in {model_id!r}") from None
+    if len(params) != 1:
+        raise ModelError(f"{family} takes exactly one integer parameter")
+    if family not in _FAMILIES:
+        raise ModelError(f"unknown builtin model {family!r}")
+    build, lo, hi, message = _FAMILIES[family]
+    n = params[0]
+    if not lo <= n <= hi:
+        raise ModelError(message)
+    return build(n)
+
+
+def tensor_product(A, B, label):
+    """The graded tensor product A ⊗ B.
+
+    Basis is B-major: a⊗b sits at index a + b·A.dim.  a⊗1 keeps a's name,
+    1⊗b keeps b's, and a⊗b is named "a.b".  Products carry the Koszul
+    sign (a1⊗b1)(a2⊗b2) = (-1)^{|b1||a2|} a1a2⊗b1b2, the differential is
+    d(a⊗b) = da⊗b + (-1)^{|a|} a⊗db, the top degrees add, and the
+    orientation is the product of the factors' (none if either has none).
     """
-    t = base.top_degree
-    n = base.dim
-    names = list(base.names)
-    degrees = list(base.degrees)
-    for suffix, shift in (("e", t + 1), ("f", t + 2)):
-        for i, bn in enumerate(base.names):
-            names.append(suffix if i == base.unit else f"{bn}.{suffix}")
-            degrees.append(base.degrees[i] + shift)
-
-    # block b -> index of b⊗1, b⊗e, b⊗f
-    def idx(i, block):
-        return i + block * n
+    n = A.dim
+    names, degrees = [], []
+    for b in range(B.dim):
+        for a in range(n):
+            names.append(A.names[a] if b == B.unit else
+                         B.names[b] if a == A.unit else
+                         f"{A.names[a]}.{B.names[b]}")
+            degrees.append(A.degrees[a] + B.degrees[b])
 
     product = {}
-    for (i, j), img in base.product.items():
-        for (bi, bj, bk, koszul_on) in (
-                (0, 0, 0, None), (0, 1, 1, None), (0, 2, 2, None),
-                (1, 0, 1, "right"), (2, 0, 2, "right")):
-            entry = {}
-            for k, c in img.items():
-                sign = 1
-                if koszul_on == "right":
-                    # (a⊗u)(b⊗1) picks up (-1)^{|u||b|}
-                    u_deg = t + 1 if bi == 1 else t + 2
-                    if (u_deg * base.degrees[j]) % 2:
-                        sign = -1
-                entry[idx(k, bk)] = sign * c
-            if entry:
-                product[(idx(i, bi), idx(j, bj))] = entry
+    for (a1, a2), img_a in A.product.items():
+        for (b1, b2), img_b in B.product.items():
+            sign = -1 if (B.degrees[b1] * A.degrees[a2]) % 2 else 1
+            product[(a1 + b1 * n, a2 + b2 * n)] = {
+                k + l * n: sign * c * e
+                for l, e in img_b.items() for k, c in img_a.items()}
 
     differential = {}
-    for i in range(n):
-        img = {}
-        for k, c in base.d(i).items():
-            img[idx(k, 0)] = c
-        if img:
-            differential[idx(i, 0)] = img
-    for i in range(n):
-        img = {idx(k, 1): c for k, c in base.d(i).items()}
-        sign = -1 if base.degrees[i] % 2 else 1
-        img[idx(i, 2)] = img.get(idx(i, 2), 0) + sign
-        differential[idx(i, 1)] = {k: c for k, c in img.items() if c}
-        imgf = {idx(k, 2): c for k, c in base.d(i).items()}
-        if imgf:
-            differential[idx(i, 2)] = imgf
+    for b in range(B.dim):
+        for a in range(n):
+            img = {k + b * n: c for k, c in A.d(a).items()}
+            sign = -1 if A.degrees[a] % 2 else 1
+            for l, e in B.d(b).items():
+                acc(img, a + l * n, sign * e)
+            differential[a + b * n] = img
 
     orientation = None
-    if base.orientation is not None:
-        orientation = {idx(i, 0): c for i, c in base.orientation.items()}
-    return DGA(names, degrees, base.unit, product, differential, t,
-               orientation=orientation, commutative=base.commutative,
-               label=f"acyclic_extension({base.label})")
+    if A.orientation is not None and B.orientation is not None:
+        orientation = {a + b * n: c * e for b, e in B.orientation.items()
+                       for a, c in A.orientation.items()}
+    return DGA(names, degrees, A.unit + B.unit * n, product, differential,
+               A.top_degree + B.top_degree, orientation=orientation,
+               commutative=A.commutative and B.commutative, label=label)
+
+
+def acyclic_extension(base):
+    """base ⊗ span(1, e, de) with |e| = top_degree + 1.
+
+    The factor is contractible and oriented on its unit, so the extension
+    keeps the homology (dimension-wise per degree) and the top degree
+    while enlarging the algebra.
+    """
+    t = base.top_degree
+    factor = DGA(["1", "e", "f"], [0, t + 1, t + 2], 0,
+                 {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
+                  (1, 0): {1: 1}, (2, 0): {2: 1}},
+                 {1: {2: 1}}, 0, orientation={0: 1}, label="contractible")
+    return tensor_product(base, factor, f"acyclic_extension({base.label})")

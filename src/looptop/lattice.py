@@ -202,7 +202,7 @@ def compare_pi1_dimensions(p, weight_cutoff=None, A=None):
             f"truncation too small: need weight cutoff >= {p - 1}, "
             f"got {weight_cutoff}")
     if A is None:
-        A = builtin_model("torus", 2)
+        A = builtin_model("torus:2")
     pres = hochschild_homology(A, "to_dual", (0, 0), weight_cutoff)
     dim = len(jadic_basis(p))
     return Pi1Report(p, weight_cutoff, dim, pres[0].betti)

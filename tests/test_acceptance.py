@@ -299,6 +299,11 @@ def test_criterion_12_determinism_across_processes():
          "--min", "0", "--max", "6", "--max-weight", "7"],
         ["bracket", "--model", "torus:2", "--p", "2"],
         ["pi1-compare", "--p", "3", "--format", "json"],
+        # a model built by tensor_product
+        ["validate", "--model", "acyclic_extension:sphere:3",
+         "--format", "json"],
+        ["loop-homology", "--model", "acyclic_extension:sphere:3",
+         "--min", "-3", "--max", "2", "--cutoff", "5"],
     ]
 
     def run_all(seed):

@@ -144,8 +144,20 @@ def test_bar_betti_sphere(capsys):
 
 def test_bar_betti_truncated_exit(capsys):
     code, out, _ = run(capsys, ["bar-betti", "--model", "torus:2",
-                                "--min", "0", "--max", "2"])
+                                "--min", "0", "--max", "2",
+                                "--max-weight", "2"])
     assert code == 3
+
+
+def test_bar_betti_needs_max_weight_with_degree_one_letters(capsys):
+    """The default weight (max degree) enumerates every word of that
+    weight on a model with degree-1 generators -- about 2.7e9 on torus:4
+    -- and is still inexact, so it is refused."""
+    for mid in ("torus:4", "surface:1", "acyclic_extension:torus:1"):
+        code, out, err = run(capsys, ["bar-betti", "--model", mid])
+        assert code == 2, mid
+        assert out == "", mid
+        assert "degree-1 generators" in err and "--max-weight" in err, mid
 
 
 def test_bracket_table_torus(capsys):

@@ -1,6 +1,8 @@
 """Finite graded algebra models: construction, validation, builtins."""
 
 import copy
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -9,7 +11,8 @@ import pytest
 from conftest import MODEL_IDS, model
 from looptop.dga import (DegreeMismatchError, ModelError, ParseError,
                          acyclic_extension, build_dga, builtin_model,
-                         dga_homology, dga_to_doc, validate_dga)
+                         dga_homology, dga_to_doc, tensor_product,
+                         validate_dga)
 
 
 def test_sphere_models():
@@ -59,9 +62,12 @@ def test_torus_shuffle_signs():
 
 def test_builtin_rejects_bad_ids():
     for bad in ("sphere:1", "sphere", "torus:0", "torus:10", "nonsense:2",
-                "complex_projective:0", "surface:0"):
+                "complex_projective:0", "surface:0", "sphere:3:1",
+                "acyclic_extension", "acyclic_extension:sphere:1"):
         with pytest.raises(ModelError):
             builtin_model(bad)
+    with pytest.raises(TypeError):
+        builtin_model("torus", 2)  # the colon id is the only call form
 
 
 def test_validate_all_builtins():
@@ -232,6 +238,89 @@ def test_acyclic_extension_structure():
     e = ext.index("e")
     assert ext.degrees[e] == base.top_degree + 1
     assert ext.d(e) == {ext.index("f"): 1}
+
+
+# sha256 of json.dumps(dga_to_doc(acyclic_extension(base)), sort_keys=True),
+# recorded from the block-by-block construction tensor_product replaced
+ACYCLIC_EXTENSION_DIGESTS = {
+    "sphere:2":
+        "e11681796438527f6cb02e16d3e6f2d2c67840355513c19df08c4ab7dabec9e2",
+    "sphere:3":
+        "f7839be1440af5d20d2e9d2cf3198b57e3bcca3ad3990a719ebc270f9674f3ef",
+    "complex_projective:1":
+        "780cc1300e7337356b7a2e8116303858882d57745fd5a2d9cabda173029cfc36",
+    "complex_projective:2":
+        "d78162c07e396faba0303f0b43fe545acdcb48df60200855d1945ab3aeab74eb",
+    "surface:1":
+        "7f6168738cb16a967fcfacfecdf56ad61b3be740e6e218208a6eabedd856a1fa",
+    "surface:2":
+        "8e13fa0ba3bda182004dde7fef661e888c56888044d29d1f874509209868a85d",
+    "torus:1":
+        "6c449c6354eeeb9d0a6c7d5dad5ae5ea7d4a33b68a7add591e3d67cd5903f861",
+    "torus:2":
+        "56095378ac76515fb36e4df0f550b1bd9950343abc084dd4a6a1fb38de94f621",
+    "acyclic_extension:sphere:2":
+        "4a68a24879203292c50a814e7fc1d030cd36be5205cfa498b2f21f9f37cf7c89",
+    "acyclic_extension:torus:1":
+        "cfd2c4fe395189a89866bdf7fdf2c17604e00a259355ec49609800b25339fcd7",
+}
+
+
+def test_acyclic_extension_tables_frozen():
+    assert sorted(ACYCLIC_EXTENSION_DIGESTS) == sorted(MODEL_IDS)
+    for mid in MODEL_IDS:
+        doc = json.dumps(dga_to_doc(acyclic_extension(model(mid))),
+                         sort_keys=True)
+        digest = hashlib.sha256(doc.encode()).hexdigest()
+        assert digest == ACYCLIC_EXTENSION_DIGESTS[mid], mid
+
+
+def test_torus_is_iterated_tensor_of_circle():
+    """torus:k is the k-fold tensor of torus:1.  Tensor index bit i - 1
+    marks generator x_i, which carries the tables and the orientation
+    onto torus:k's subset basis."""
+    circle = model("torus:1")
+    power = circle
+    for k in range(1, 6):
+        if k > 1:
+            power = tensor_product(power, circle, f"circle^{k}")
+        t = builtin_model(f"torus:{k}")
+        subset = [t.index("x" + "".join(str(i + 1) for i in range(k)
+                                        if idx >> i & 1) if idx else "1")
+                  for idx in range(power.dim)]
+        assert power.dim == t.dim == 2 ** k
+        assert [t.degrees[m] for m in subset] == list(power.degrees)
+        assert subset[power.unit] == t.unit
+        assert power.top_degree == t.top_degree
+        assert {(subset[i], subset[j]): {subset[m]: c for m, c in img.items()}
+                for (i, j), img in power.product.items()} == t.product, k
+        assert power.differential == t.differential == {}
+        assert {subset[m]: c for m, c in power.orientation.items()} \
+            == t.orientation
+
+
+def _betti(A):
+    return {q: h.betti for q, h in dga_homology(A).items() if h.betti}
+
+
+def test_tensor_product_of_builtins_is_a_model():
+    """With disjoint factor names the tensor passes every axiom (the
+    Koszul sign is what makes it graded commutative), and its homology is
+    the convolution of the factors' (Künneth over Q)."""
+    for left, right in (("surface:1", "torus:1"), ("torus:2", "surface:2")):
+        A, B = model(left), model(right)
+        P = tensor_product(A, B, f"{left} x {right}")
+        report = validate_dga(P)
+        assert report.passed, (left, right, report.violations)
+        assert P.top_degree == A.top_degree + B.top_degree
+        want = {}
+        for p, x in _betti(A).items():
+            for q, y in _betti(B).items():
+                want[p + q] = want.get(p + q, 0) + x * y
+        assert _betti(P) == want, (left, right)
+    s3 = model("sphere:3")
+    assert "basis/unique-names" in validate_dga(
+        tensor_product(s3, s3, "s3 x s3")).rules
 
 
 def test_letters_and_basis_of_degree():
