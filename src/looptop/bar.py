@@ -148,17 +148,13 @@ def bar_homology(A, degree_range, max_weight):
     out = {}
     for n in range(lo, hi + 1):
         sub = homology(slices[n - 1].d_columns, slices[n].d_columns)
-        exact = (slice_complete(A, n, max_weight)
-                 and slice_complete(A, n - 1, max_weight))
+        exact = slices[n].complete and slices[n - 1].complete
         out[n] = HomologyPresentation(n, sub, exact)
     return out
 
 
-def bar_d_squared_zero(A, max_weight, degree_range=None):
+def bar_d_squared_zero(A, max_weight, degree_range):
     """Compose the boundary with itself over a window; True when zero."""
-    if degree_range is None:
-        degree_range = (0, max_weight * max(
-            (A.degrees[i] - 1 for i in A.letters), default=1))
     lo, hi = degree_range
     slices = {n: bar_slice(A, n, max_weight) for n in range(lo, hi + 2)}
     for n in range(lo, hi + 1):

@@ -391,22 +391,20 @@ class LoopHomology:
         return self.ring.get((key1, key2))
 
     def tsv(self):
+        prods = {}
+        for k1, k2 in sorted(self.ring):
+            prods.setdefault(k1[0], []).append(
+                f"h{k1[0]}.{k1[1]}*h{k2[0]}.{k2[1]}="
+                f"{_expr_str(self.ring[(k1, k2)])}")
         lines = ["degree\tbetti\tstatus\tclasses\tproducts"]
         lo, hi = self.degree_range
         for n in range(lo, hi + 1):
-            names = self.class_names.get(n, [])
-            prods = []
-            for (k1, k2), expr in sorted(self.ring.items()):
-                if k1[0] != n:
-                    continue
-                left = f"h{k1[0]}.{k1[1]}"
-                right = f"h{k2[0]}.{k2[1]}"
-                prods.append(f"{left}*{right}={_expr_str(expr)}")
+            names = self.class_names.get(n)
             lines.append("\t".join([
                 str(n), str(self.betti.get(n, 0)),
                 "exact" if self.exact.get(n) else "weight-truncated",
                 ",".join(names) if names else "-",
-                ";".join(prods) if prods else "-"]))
+                ";".join(prods.get(n, ["-"]))]))
         return "\n".join(lines) + "\n"
 
 

@@ -590,10 +590,15 @@ def acyclic_extension(base):
 
     The factor is contractible and oriented on its unit, so the extension
     keeps the homology (dimension-wise per degree) and the top degree
-    while enlarging the algebra.
+    while enlarging the algebra.  e and f are renamed e2, f2 (then e3,
+    f3, ...) when the base already uses either name, as a nested
+    extension does.
     """
     t = base.top_degree
-    factor = DGA(["1", "e", "f"], [0, t + 1, t + 2], 0,
+    taken = set(base.names)
+    suffixes = itertools.chain([""], map(str, itertools.count(2)))
+    suffix = next(s for s in suffixes if not {"e" + s, "f" + s} & taken)
+    factor = DGA(["1", "e" + suffix, "f" + suffix], [0, t + 1, t + 2], 0,
                  {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
                   (1, 0): {1: 1}, (2, 0): {2: 1}},
                  {1: {2: 1}}, 0, orientation={0: 1}, label="contractible")

@@ -13,7 +13,7 @@ one), and the bracket of two degree-0 dual classes is
 
 import itertools
 
-from .linalg import Echelon, acc, column_rank, homology
+from .linalg import Echelon, acc, homology
 # words_by_degree is unused here, but bench/tracing.py wraps it under this
 # module and its restore test reads it back
 from .bar import bar_degree, words_by_degree  # noqa: F401
@@ -35,43 +35,33 @@ class BracketModelError(ValueError):
     """The model cannot support the bracket construction."""
 
 
-def _pairing_value(A, b, a):
-    return A.orient(A.mul(b, a))
+def _pairing(A):
+    """The orientation pairing as one cached table (forward, inverse).
 
-
-def _pairing_blocks(A):
-    """Per-degree matrices o_q[b][a] = orientation(b ∧ a), a of degree q."""
-    blocks = A._cache.get("pairing_blocks")
-    if blocks is None:
-        blocks = {}
+    forward[a] = {b: orient(b·a)} over b of the complementary degree, in
+    basis order.  inverse[b] = {a: coeff} inverts it columnwise:
+    x[a] = sum_b inverse[b][a] * t[b] solves sum_a x[a] forward[a] = t.
+    The table is square over the basis and block-diagonal by degree, so
+    one echelon serves every degree, and full column rank already means
+    every {b: 1} is hit; inverse is None otherwise.
+    """
+    table = A._cache.get("pairing")
+    if table is None:
         d = A.top_degree
-        for q in sorted(set(A.degrees)):
-            rows = A.basis_of_degree(d - q)
-            cols = A.basis_of_degree(q)
-            blocks[q] = (rows, cols,
-                         {a: {b: v for b in rows
-                              if (v := _pairing_value(A, b, a))}
-                          for a in cols})
-        A._cache["pairing_blocks"] = blocks
-    return blocks
+        forward = {a: {b: v for b in A.basis_of_degree(d - A.degrees[a])
+                       if (v := A.orient(A.mul(b, a)))}
+                   for a in range(A.dim)}
+        ech = Echelon()
+        inverse = None
+        if all(ech.insert(forward[a], a) is None for a in range(A.dim)):
+            inverse = {b: ech.express({b: 1}) for b in range(A.dim)}
+        table = A._cache["pairing"] = (forward, inverse)
+    return table
 
 
 def chain_pairing_invertible(A):
-    """Whether P is invertible wordwise (square nonsingular blocks)."""
-    if A.orientation is None:
-        return False
-    flag = A._cache.get("pairing_invertible")
-    if flag is None:
-        flag = True
-        for q, (rows, cols, mat) in _pairing_blocks(A).items():
-            if len(rows) != len(cols):
-                flag = False
-                break
-            if cols and column_rank(mat) != len(cols):
-                flag = False
-                break
-        A._cache["pairing_invertible"] = flag
-    return flag
+    """Whether P is invertible wordwise (the pairing table is)."""
+    return A.orientation is not None and _pairing(A)[1] is not None
 
 
 def poincare_P(A, phi):
@@ -80,53 +70,27 @@ def poincare_P(A, phi):
         raise OrientationError(f"model {A.label} has no orientation")
     if phi.variant != "to_A":
         raise GradingError("poincare_P expects a to-A cochain")
-    d = A.top_degree
+    forward = _pairing(A)[0]
     out = {}
     for (w, a), c in phi.entries.items():
-        for b in A.basis_of_degree(d - A.degrees[a]):
-            v = _pairing_value(A, b, a)
-            if v:
-                acc(out, (w, b), c * v)
-    return DualCochain(A, out, degree=phi.degree + d)
-
-
-def _pairing_inverse(A):
-    """Columns of o_q^{-1} per degree: q -> {b: {a: coeff}} so that
-    x[a] = sum_b inv[b][a] * t[b] solves o_q x = t."""
-    inv = A._cache.get("pairing_inverse")
-    if inv is None:
-        if not chain_pairing_invertible(A):
-            raise NotInImageError(
-                f"orientation pairing of {A.label} is not chain-invertible")
-        inv = {}
-        for q, (rows, cols, mat) in _pairing_blocks(A).items():
-            ech = Echelon()
-            for a in sorted(mat):
-                ech.insert(mat[a], a)
-            cols_inv = {}
-            for b in rows:
-                sol = ech.express({b: 1})
-                if sol is None:
-                    raise NotInImageError(
-                        f"orientation pairing of {A.label} is singular")
-                cols_inv[b] = sol
-            inv[q] = cols_inv
-        A._cache["pairing_inverse"] = inv
-    return inv
+        for b, v in forward[a].items():
+            acc(out, (w, b), c * v)
+    return DualCochain(A, out, degree=phi.degree + A.top_degree)
 
 
 def poincare_P_chain_inverse(A, psi):
     """Exact wordwise inverse of P on a dual cochain."""
     if psi.variant != "to_dual":
         raise GradingError("expected a dual cochain")
-    inv = _pairing_inverse(A)
-    d = A.top_degree
+    if not chain_pairing_invertible(A):
+        raise NotInImageError(
+            f"orientation pairing of {A.label} is not chain-invertible")
+    inverse = _pairing(A)[1]
     out = {}
     for (w, b), c in psi.entries.items():
-        q = d - A.degrees[b]
-        for a, v in inv[q][b].items():
+        for a, v in inverse[b].items():
             acc(out, (w, a), c * v)
-    return Cochain(A, out, degree=psi.degree - d)
+    return Cochain(A, out, degree=psi.degree - A.top_degree)
 
 
 def poincare_P_inverse(A, psi, weight_cutoff):
@@ -170,7 +134,7 @@ def poincare_P_inverse(A, psi, weight_cutoff):
     return out
 
 
-def connes_B(A, phi, p=None):
+def connes_B(A, phi, p):
     """Rotation operator on dual cochains.
 
     B(phi)(w_1..w_r)(b) cycles (b, w_*) through the unit test slot:
@@ -180,7 +144,7 @@ def connes_B(A, phi, p=None):
     """
     if phi.variant != "to_dual":
         raise GradingError("connes_B expects a dual cochain")
-    if p is not None and phi.weight_support > p:
+    if phi.weight_support > p:
         raise GradingError(
             f"cochain has weight {phi.weight_support}, expected <= {p}")
     out = {}
@@ -218,66 +182,53 @@ def symplectic_basis(A):
     is exactly the standard form under some index pairing; the builtin
     surface and two-torus models qualify.
     """
-    reason = None
-    if A.orientation is None:
-        reason = "no orientation"
-    elif A.top_degree != 2:
-        reason = f"top degree {A.top_degree} != 2"
-    deg1 = A.basis_of_degree(1)
-    if reason is None and not deg1:
-        reason = "no degree-1 elements"
-    if reason is None:
-        remaining = list(deg1)
-        alphas, betas = [], []
-        while remaining:
-            i = remaining[0]
-            partner = None
-            for j in remaining[1:]:
-                if _pairing_value(A, i, j) == 1:
-                    partner = j
-                    break
-            if partner is None:
-                reason = f"{A.names[i]} has no unit-pairing partner"
-                break
-            remaining.remove(i)
-            remaining.remove(partner)
-            alphas.append(i)
-            betas.append(partner)
-        if reason is None:
-            for x, y in itertools.product(deg1, repeat=2):
-                want = 0
-                for a, b in zip(alphas, betas):
-                    if (x, y) == (a, b):
-                        want = 1
-                    elif (x, y) == (b, a):
-                        want = -1
-                if _pairing_value(A, x, y) != want:
-                    reason = (f"pairing of {A.names[x]},{A.names[y]} "
-                              "is not standard")
-                    break
-    if reason is not None:
-        raise BracketModelError(
+    def lacks(reason):
+        return BracketModelError(
             f"model lacks symplectic degree-1 structure ({reason})")
+
+    if A.orientation is None:
+        raise lacks("no orientation")
+    if A.top_degree != 2:
+        raise lacks(f"top degree {A.top_degree} != 2")
+    deg1 = A.basis_of_degree(1)
+    if not deg1:
+        raise lacks("no degree-1 elements")
+    forward = _pairing(A)[0]
+    remaining = list(deg1)
+    alphas, betas = [], []
+    while remaining:
+        i = remaining.pop(0)
+        partner = next((j for j in remaining if forward[j].get(i) == 1),
+                       None)
+        if partner is None:
+            raise lacks(f"{A.names[i]} has no unit-pairing partner")
+        remaining.remove(partner)
+        alphas.append(i)
+        betas.append(partner)
+    standard = {}
+    for a, b in zip(alphas, betas):
+        standard[(a, b)], standard[(b, a)] = 1, -1
+    for x, y in itertools.product(deg1, repeat=2):
+        if forward[y].get(x, 0) != standard.get((x, y), 0):
+            raise lacks(f"pairing of {A.names[x]},{A.names[y]} "
+                        "is not standard")
     return SymplecticBasis(alphas, betas)
 
 
-def bracket(A, c1, c2, p=None, q=None, eval_cutoff=None, check=True):
+def bracket(A, c1, c2, p, q, eval_cutoff=None):
     """String bracket of two degree-0 dual classes.
 
-    c1 and c2 are degree-0 dual cocycles supported in weights <= p, <= q
-    (defaulting to their supports).  The output is a degree-0 dual
-    cochain supported in weight <= p + q - 2; passing eval_cutoff
-    truncates the output further, which is cheaper when only a low
-    window is compared.  With check=True the rotated inputs are verified
-    to be cocycles in their truncated complexes.
+    c1 and c2 are degree-0 dual cocycles supported in weights <= p, <= q.
+    The output is a degree-0 dual cochain supported in weight
+    <= p + q - 2; passing eval_cutoff truncates the output further, which
+    is cheaper when only a low window is compared.  The rotated inputs
+    are checked to be cocycles in their truncated complexes.
     """
     symplectic_basis(A)  # raises BracketModelError when unsupported
     if c1.variant != "to_dual" or c2.variant != "to_dual":
         raise GradingError("bracket expects dual cochains")
     if c1.degree != 0 or c2.degree != 0:
         raise GradingError("bracket expects degree-0 classes")
-    p = c1.weight_support if p is None else p
-    q = c2.weight_support if q is None else q
     if c1.weight_support > p or c2.weight_support > q:
         raise GradingError("class support exceeds its stated filtration")
     out_cutoff = p + q - 2
@@ -285,11 +236,10 @@ def bracket(A, c1, c2, p=None, q=None, eval_cutoff=None, check=True):
         out_cutoff = min(out_cutoff, eval_cutoff)
     b1 = connes_B(A, c1, p)
     b2 = connes_B(A, c2, q)
-    if check:
-        if not delta_to_dual(A, b1, weight_cutoff=p - 1).is_zero:
-            raise CycleError("rotated first argument is not a cocycle")
-        if not delta_to_dual(A, b2, weight_cutoff=q - 1).is_zero:
-            raise CycleError("rotated second argument is not a cocycle")
+    if not delta_to_dual(A, b1, weight_cutoff=p - 1).is_zero:
+        raise CycleError("rotated first argument is not a cocycle")
+    if not delta_to_dual(A, b2, weight_cutoff=q - 1).is_zero:
+        raise CycleError("rotated second argument is not a cocycle")
     x1 = poincare_P_chain_inverse(A, b1)
     x2 = poincare_P_chain_inverse(A, b2)
     y = cup(A, x1, x2, weight_cutoff=out_cutoff)
@@ -307,9 +257,6 @@ class E1Functional:
         self.arity = arity
         self.table = {t: c for t, c in table.items() if c}
 
-    def __call__(self, *letters):
-        return self.table.get(tuple(letters), 0)
-
     def __eq__(self, other):
         if not isinstance(other, E1Functional):
             return NotImplemented
@@ -323,12 +270,18 @@ class E1Functional:
         return f"E1Functional(arity={self.arity}, {len(self.table)} terms)"
 
 
+def _cyclic_sum(f, word):
+    """Sum of f over the cyclic rotations of word."""
+    return sum(f.table.get(word[m:] + word[:m], 0) for m in range(len(word)))
+
+
 def e1_bracket(A, f1, f2, symp=None):
     """Leading-layer bracket of two top-layer functionals.
 
     Sums over the symplectic pairs and all cyclic rotations of each
     factor's argument block: rotations act by moving the front letter to
-    the back.  The result has arity p + q - 2.
+    the back.  The double sum over rotations of both blocks is the
+    product of the two cyclic sums.  The result has arity p + q - 2.
     """
     if symp is None:
         symp = symplectic_basis(A)
@@ -339,19 +292,10 @@ def e1_bracket(A, f1, f2, symp=None):
     table = {}
     for letters in itertools.product(deg1, repeat=p + q - 2):
         left, right = letters[:p - 1], letters[p - 1:]
-        total = 0
-        for a_i, b_i in zip(symp.alphas, symp.betas):
-            for m in range(p):
-                for n in range(q):
-                    t1a = ((a_i,) + left)
-                    t1b = ((b_i,) + left)
-                    t2a = ((b_i,) + right)
-                    t2b = ((a_i,) + right)
-                    r1a = t1a[m:] + t1a[:m]
-                    r1b = t1b[m:] + t1b[:m]
-                    r2a = t2a[n:] + t2a[:n]
-                    r2b = t2b[n:] + t2b[:n]
-                    total += f1(*r1a) * f2(*r2a) - f1(*r1b) * f2(*r2b)
+        total = sum(
+            _cyclic_sum(f1, (a,) + left) * _cyclic_sum(f2, (b,) + right)
+            - _cyclic_sum(f1, (b,) + left) * _cyclic_sum(f2, (a,) + right)
+            for a, b in zip(symp.alphas, symp.betas))
         if total:
             table[letters] = total
     return E1Functional(p + q - 2, table)

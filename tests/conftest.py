@@ -1,6 +1,6 @@
 """Shared helpers for the test suite.
 
-Models are cached per process so the word tables and pairing blocks they
+Models are cached per process so the word tables and pairing table they
 carry get reused across test files.  Random data always comes from a
 seeded random.Random, never the global RNG.
 """

@@ -304,6 +304,8 @@ def test_criterion_12_determinism_across_processes():
          "--format", "json"],
         ["loop-homology", "--model", "acyclic_extension:sphere:3",
          "--min", "-3", "--max", "2", "--cutoff", "5"],
+        # the genus-2 symplectic basis and the pairing table
+        ["bracket", "--model", "surface:2", "--p", "2", "--format", "json"],
     ]
 
     def run_all(seed):

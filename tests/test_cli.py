@@ -1,5 +1,6 @@
 """Command line interface: exit codes, report shapes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -98,6 +99,24 @@ def test_loop_homology_exact_run(capsys):
     assert lines[1] == "degree\tbetti\tstatus\tclasses\tproducts"
     assert len(lines) == 2 + 9
     assert all("exact" in line for line in lines[2:])
+
+
+# exit code and sha256 of the full stdout, recorded while tsv still sorted
+# the whole ring once per degree
+LOOP_HOMOLOGY_TSV = {
+    ("sphere:3", "-3", "5"): (
+        0, "7e101a7f234d90e3837d6177e2fb020b7e4d607c8498b5abfb76c68a38ceae51"),
+    ("complex_projective:2", "-4", "6"): (
+        3, "770ee453d0df08e934d955f2c6c3c0b21f730f11fcacab2b0d453f7258b16682"),
+}
+
+
+def test_loop_homology_tsv_frozen(capsys):
+    for (mid, lo, hi), want in LOOP_HOMOLOGY_TSV.items():
+        code, out, _ = run(capsys, ["loop-homology", "--model", mid,
+                                    "--min", lo, "--max", hi,
+                                    "--cutoff", "8"])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == want, mid
 
 
 def test_loop_homology_truncated_run(capsys):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import MODEL_IDS, model
+from looptop.bar import bar_homology
 from looptop.dga import (DegreeMismatchError, ModelError, ParseError,
                          acyclic_extension, build_dga, builtin_model,
                          dga_homology, dga_to_doc, tensor_product,
@@ -241,7 +242,9 @@ def test_acyclic_extension_structure():
 
 
 # sha256 of json.dumps(dga_to_doc(acyclic_extension(base)), sort_keys=True),
-# recorded from the block-by-block construction tensor_product replaced
+# recorded from the block-by-block construction tensor_product replaced;
+# the two nested extensions re-recorded once their second factor was
+# named e2, f2 (its names had repeated e, f)
 ACYCLIC_EXTENSION_DIGESTS = {
     "sphere:2":
         "e11681796438527f6cb02e16d3e6f2d2c67840355513c19df08c4ab7dabec9e2",
@@ -260,9 +263,9 @@ ACYCLIC_EXTENSION_DIGESTS = {
     "torus:2":
         "56095378ac76515fb36e4df0f550b1bd9950343abc084dd4a6a1fb38de94f621",
     "acyclic_extension:sphere:2":
-        "4a68a24879203292c50a814e7fc1d030cd36be5205cfa498b2f21f9f37cf7c89",
+        "5a5b1d1f100bf0c057e660e148e5e692e7358b9d1b3ac48865e6ca50621b655e",
     "acyclic_extension:torus:1":
-        "cfd2c4fe395189a89866bdf7fdf2c17604e00a259355ec49609800b25339fcd7",
+        "7f02701a8a5b01b269521c369aa76b8fd3583bed746006b88409093e71c509b8",
 }
 
 
@@ -273,6 +276,18 @@ def test_acyclic_extension_tables_frozen():
                          sort_keys=True)
         digest = hashlib.sha256(doc.encode()).hexdigest()
         assert digest == ACYCLIC_EXTENSION_DIGESTS[mid], mid
+
+
+def test_nested_acyclic_extension_validates():
+    """The second factor of a nested extension is named e2, f2, so the
+    names stay unique, and the bar homology is still that of the base."""
+    nested = builtin_model("acyclic_extension:acyclic_extension:sphere:2")
+    assert validate_dga(nested).passed
+    assert {"e", "f", "e2", "f2"} <= set(nested.names)
+    for mid in ("sphere:2", "acyclic_extension:acyclic_extension:sphere:2"):
+        hom = bar_homology(builtin_model(mid), (0, 4), 4)
+        assert {n: h.betti for n, h in hom.items()} == dict.fromkeys(
+            range(5), 1), mid
 
 
 def test_torus_is_iterated_tensor_of_circle():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import model, random_cochain, slice_bases
+from conftest import MODEL_IDS, model, random_cochain, slice_bases
 from looptop.cochains import (Cochain, DualCochain, delta_to_A, delta_to_dual,
                               hochschild_homology)
 from looptop.duality import (BracketModelError, E1Functional, NotInImageError,
@@ -19,10 +19,22 @@ ORIENTED = ["sphere:2", "sphere:3", "complex_projective:1",
             "torus:1", "torus:2"]
 
 
+# chain_pairing_invertible per model, recorded from the per-degree block test
+# the single pairing table replaced
+PAIRING_INVERTIBLE = {
+    "sphere:2": True, "sphere:3": True,
+    "complex_projective:1": True, "complex_projective:2": True,
+    "surface:1": True, "surface:2": True, "torus:1": True, "torus:2": True,
+    "acyclic_extension:sphere:2": False, "acyclic_extension:torus:1": False,
+    "torus:3": True, "surface:3": True, "complex_projective:3": True,
+    "acyclic_extension:surface:1": False,
+}
+
+
 def test_chain_pairing_invertible_flags():
-    for mid in ORIENTED:
-        assert chain_pairing_invertible(model(mid)), mid
-    assert not chain_pairing_invertible(model("acyclic_extension:surface:1"))
+    assert set(MODEL_IDS) <= set(PAIRING_INVERTIBLE)
+    for mid, flag in PAIRING_INVERTIBLE.items():
+        assert chain_pairing_invertible(model(mid)) == flag, mid
 
 
 def test_poincare_P_shifts_degree_and_keeps_words():
@@ -49,7 +61,7 @@ def test_poincare_P_intertwines_coboundaries():
 
 def test_poincare_chain_inverse_roundtrip():
     rng = random.Random(37)
-    for mid in ("sphere:3", "torus:2", "surface:2"):
+    for mid in (m for m, flag in PAIRING_INVERTIBLE.items() if flag):
         A = model(mid)
         bases = slice_bases(A, "to_A", (-A.top_degree, 3), 3)
         for _ in range(8):
@@ -114,6 +126,11 @@ def test_symplectic_basis_frozen():
     assert sy2.genus == 2
     assert sy2.alphas == (s2.index("a1"), s2.index("a2"))
     assert sy2.betas == (s2.index("b1"), s2.index("b2"))
+    s3 = model("surface:3")
+    sy3 = symplectic_basis(s3)
+    assert sy3.genus == 3
+    assert sy3.alphas == tuple(s3.index(f"a{i}") for i in (1, 2, 3))
+    assert sy3.betas == tuple(s3.index(f"b{i}") for i in (1, 2, 3))
 
 
 def test_symplectic_basis_rejects_spheres():
