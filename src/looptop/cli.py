@@ -17,8 +17,9 @@ import sys
 
 from .dga import ModelError, build_dga, builtin_model, validate_dga
 from .bar import bar_homology
-from .cochains import hochschild_homology, loop_homology
-from .duality import BracketModelError, CycleError, NotInImageError, bracket
+from .cochains import DualCochain, hochschild_homology, loop_homology
+from .duality import (BracketModelError, CycleError, NotInImageError,
+                      bracket, require_chain_invertible, symplectic_basis)
 from .linalg import add_scaled
 from .lattice import TruncationError, compare_pi1_dimensions
 
@@ -215,8 +216,9 @@ def _cmd_bracket(args):
     p = args.p
     if p < 1:
         raise UsageError("--p must be at least 1")
-    from .cochains import DualCochain
-
+    # refuse an unsupported model before building any slice
+    symplectic_basis(A)
+    require_chain_invertible(A)
     inputs = hochschild_homology(A, "to_dual", (0, 0), p)[0]
     in_classes = [DualCochain(A, dict(v), degree=0)
                   for v in inputs.representatives]

@@ -14,17 +14,19 @@ one), and the bracket of two degree-0 dual classes is
 import itertools
 
 from .linalg import Echelon, acc, homology
-# words_by_degree is unused here, but bench/tracing.py wraps it under this
-# module and its restore test reads it back
+# words_by_degree and assemble_complex are unused here, but
+# bench/tracing.py wraps them under this module and its restore test reads
+# them back
 from .bar import bar_degree, words_by_degree  # noqa: F401
-from .dga import OrientationError
-from .cochains import (Cochain, DualCochain, GradingError, assemble_complex,
-                       cup, delta_to_dual, _delta_entry_dual)
+from .cochains import assemble_complex  # noqa: F401
+from .dga import OrientationError, dga_homology
+from .cochains import (Cochain, DualCochain, GradingError, cup,
+                       delta_to_dual, _delta_entry_dual)
 
 
 class NotInImageError(ValueError):
-    """Target class is outside the image (truncation too small or the
-    pairing is degenerate)."""
+    """P has no wordwise inverse: the orientation pairing is not
+    chain-invertible."""
 
 
 class CycleError(ValueError):
@@ -64,6 +66,13 @@ def chain_pairing_invertible(A):
     return A.orientation is not None and _pairing(A)[1] is not None
 
 
+def require_chain_invertible(A):
+    """Raise NotInImageError unless P is invertible wordwise."""
+    if not chain_pairing_invertible(A):
+        raise NotInImageError(
+            f"orientation pairing of {A.label} is not chain-invertible")
+
+
 def poincare_P(A, phi):
     """Pair a to-A cochain against the orientation: degree rises by top."""
     if A.orientation is None:
@@ -82,56 +91,13 @@ def poincare_P_chain_inverse(A, psi):
     """Exact wordwise inverse of P on a dual cochain."""
     if psi.variant != "to_dual":
         raise GradingError("expected a dual cochain")
-    if not chain_pairing_invertible(A):
-        raise NotInImageError(
-            f"orientation pairing of {A.label} is not chain-invertible")
+    require_chain_invertible(A)
     inverse = _pairing(A)[1]
     out = {}
     for (w, b), c in psi.entries.items():
         for a, v in inverse[b].items():
             acc(out, (w, a), c * v)
     return Cochain(A, out, degree=psi.degree - A.top_degree)
-
-
-def poincare_P_inverse(A, psi, weight_cutoff):
-    """Solve P(x) = psi modulo coboundaries in the truncated complex.
-
-    Returns a to-A cocycle representative; raises NotInImageError when
-    the class is not hit (degenerate pairing or cutoff too small).
-    """
-    if psi.variant != "to_dual":
-        raise GradingError("expected a dual cochain")
-    if chain_pairing_invertible(A):
-        return poincare_P_chain_inverse(A, psi)
-    d = A.top_degree
-    m = psi.degree - d
-    src = assemble_complex(A, "to_A", m, weight_cutoff)
-    src_above = assemble_complex(A, "to_A", m + 1, weight_cutoff)
-    cycles = homology(src_above.delta_columns, src.delta_columns)
-    dual_above = assemble_complex(A, "to_dual", psi.degree + 1, weight_cutoff)
-    ech = Echelon()
-    reps = []
-    for i, z in enumerate(cycles.representatives):
-        phi = Cochain(A, dict(z), degree=m)
-        reps.append(phi)
-        ech.insert(poincare_P(A, phi).entries, ("c", i))
-    # images of to-A coboundaries are dual coboundaries (P intertwines
-    # the differentials up to sign), so the coboundary generators below
-    # absorb them
-    for j, key in enumerate(dual_above.basis):
-        col = dual_above.delta_columns[key]
-        if col:
-            ech.insert(col, ("b", j))
-    expr = ech.express(psi.entries)
-    if expr is None:
-        raise NotInImageError(
-            "class is not in the image of the duality map at this cutoff")
-    out = Cochain(A, {}, degree=m)
-    for tag, c in expr.items():
-        kind, i = tag
-        if kind == "c":
-            out = out.add(reps[i].scale(c))
-    return out
 
 
 def connes_B(A, phi, p):
@@ -215,6 +181,20 @@ def symplectic_basis(A):
     return SymplecticBasis(alphas, betas)
 
 
+def _check_bracket_inputs(A, c1, c2, p, q):
+    """The input gate of bracket and e1_bracket: a symplectic model and
+    two degree-0 dual cochains supported in weights <= p, <= q.  Returns
+    the symplectic basis."""
+    symp = symplectic_basis(A)  # raises BracketModelError when unsupported
+    if c1.variant != "to_dual" or c2.variant != "to_dual":
+        raise GradingError("bracket expects dual cochains")
+    if c1.degree != 0 or c2.degree != 0:
+        raise GradingError("bracket expects degree-0 classes")
+    if c1.weight_support > p or c2.weight_support > q:
+        raise GradingError("class support exceeds its stated filtration")
+    return symp
+
+
 def bracket(A, c1, c2, p, q, eval_cutoff=None):
     """String bracket of two degree-0 dual classes.
 
@@ -224,13 +204,7 @@ def bracket(A, c1, c2, p, q, eval_cutoff=None):
     is cheaper when only a low window is compared.  The rotated inputs
     are checked to be cocycles in their truncated complexes.
     """
-    symplectic_basis(A)  # raises BracketModelError when unsupported
-    if c1.variant != "to_dual" or c2.variant != "to_dual":
-        raise GradingError("bracket expects dual cochains")
-    if c1.degree != 0 or c2.degree != 0:
-        raise GradingError("bracket expects degree-0 classes")
-    if c1.weight_support > p or c2.weight_support > q:
-        raise GradingError("class support exceeds its stated filtration")
+    _check_bracket_inputs(A, c1, c2, p, q)
     out_cutoff = p + q - 2
     if eval_cutoff is not None:
         out_cutoff = min(out_cutoff, eval_cutoff)
@@ -246,77 +220,34 @@ def bracket(A, c1, c2, p, q, eval_cutoff=None):
     return poincare_P(A, y).scale(-1)
 
 
-class E1Functional:
-    """Top-layer page element: a functional on weight-p words of
-    degree-1 letters, evaluated at the unit test slot.
+def e1_bracket(A, c1, c2, p, q):
+    """Top weight layer of bracket(A, c1, c2, p, q), in closed form.
 
-    table maps p-tuples of degree-1 basis indices to coefficients.
+    Reads only the weight-p layer of c1 and the weight-q layer of c2 and
+    returns the weight-(p + q - 2) layer of the bracket.  Each output
+    entry sums over the symplectic pairs and all cyclic rotations of each
+    factor's argument block; the double sum over rotations of both blocks
+    is the product of the two cyclic sums.  A weight-0 layer rotates to
+    zero.
     """
-
-    def __init__(self, arity, table):
-        self.arity = arity
-        self.table = {t: c for t, c in table.items() if c}
-
-    def __eq__(self, other):
-        if not isinstance(other, E1Functional):
-            return NotImplemented
-        return self.arity == other.arity and self.table == other.table
-
-    @property
-    def is_zero(self):
-        return not self.table
-
-    def __repr__(self):
-        return f"E1Functional(arity={self.arity}, {len(self.table)} terms)"
-
-
-def _cyclic_sum(f, word):
-    """Sum of f over the cyclic rotations of word."""
-    return sum(f.table.get(word[m:] + word[:m], 0) for m in range(len(word)))
-
-
-def e1_bracket(A, f1, f2, symp=None):
-    """Leading-layer bracket of two top-layer functionals.
-
-    Sums over the symplectic pairs and all cyclic rotations of each
-    factor's argument block: rotations act by moving the front letter to
-    the back.  The double sum over rotations of both blocks is the
-    product of the two cyclic sums.  The result has arity p + q - 2.
-    """
-    if symp is None:
-        symp = symplectic_basis(A)
-    p, q = f1.arity, f2.arity
+    symp = _check_bracket_inputs(A, c1, c2, p, q)
     if p < 1 or q < 1:
-        raise GradingError("e1_bracket needs arities >= 1")
-    deg1 = A.basis_of_degree(1)
-    table = {}
-    for letters in itertools.product(deg1, repeat=p + q - 2):
-        left, right = letters[:p - 1], letters[p - 1:]
-        total = sum(
-            _cyclic_sum(f1, (a,) + left) * _cyclic_sum(f2, (b,) + right)
-            - _cyclic_sum(f1, (b,) + left) * _cyclic_sum(f2, (a,) + right)
-            for a, b in zip(symp.alphas, symp.betas))
-        if total:
-            table[letters] = total
-    return E1Functional(p + q - 2, table)
+        return DualCochain(A, {}, degree=0)
+    top1 = {w: c for (w, _), c in c1.entries.items() if len(w) == p}
+    top2 = {w: c for (w, _), c in c2.entries.items() if len(w) == q}
 
+    def cyclic_sum(top, word):
+        return sum(top.get(word[m:] + word[:m], 0) for m in range(len(word)))
 
-def dual_cochain_of_e1(A, f):
-    """Lift a top-layer functional to a degree-0 dual cochain supported
-    exactly in its weight (any lift differs by lower weights)."""
     entries = {}
-    for t, c in f.table.items():
-        entries[(t, A.unit)] = c
+    for letters in itertools.product(A.basis_of_degree(1),
+                                     repeat=p + q - 2):
+        left, right = letters[:p - 1], letters[p - 1:]
+        entries[(letters, A.unit)] = sum(
+            cyclic_sum(top1, (a,) + left) * cyclic_sum(top2, (b,) + right)
+            - cyclic_sum(top1, (b,) + left) * cyclic_sum(top2, (a,) + right)
+            for a, b in zip(symp.alphas, symp.betas))
     return DualCochain(A, entries, degree=0)
-
-
-def e1_of_dual_cochain(A, psi, p):
-    """Project a degree-0 dual cochain to its weight-p top layer."""
-    table = {}
-    for (w, b), c in psi.entries.items():
-        if len(w) == p and b == A.unit:
-            table[w] = c
-    return E1Functional(p, table)
 
 
 class E1Report:
@@ -344,8 +275,6 @@ def e1_term(A, p):
     dimensions must match those of functionals from p-fold tensors of
     suspended positive homology into dual homology.
     """
-    from .dga import dga_homology
-
     basis_by_degree = {}
     for w in itertools.product(A.letters, repeat=p):
         eps = bar_degree(A, w)

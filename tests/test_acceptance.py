@@ -18,10 +18,8 @@ from looptop.bar import bar_d_squared_zero, bar_homology
 from looptop.cochains import (DualCochain, cup, delta_squared_zero,
                               delta_to_A, hochschild_homology, loop_homology,
                               _delta_entry_dual)
-from looptop.duality import (E1Functional, bracket, connes_B,
-                             dual_cochain_of_e1, e1_bracket,
-                             e1_of_dual_cochain, e1_term, poincare_P,
-                             poincare_P_chain_inverse, symplectic_basis)
+from looptop.duality import (bracket, connes_B, e1_bracket, e1_term,
+                             poincare_P, poincare_P_chain_inverse)
 from looptop.lattice import (compare_pi1_dimensions, goldman_torus,
                              group_ring_to_cochain, holonomy_cochain)
 from test_bar import dense_betti
@@ -245,33 +243,39 @@ def test_criterion_09_bracket_filtration_law():
                         assert raw.weight_support <= max(p + q - 2, 0)
 
 
+def _e1_sweep(A, max_weight):
+    """Compare e1_bracket with the top weight layer of bracket on every
+    pair of single-word top layers with p, q <= max_weight; returns the
+    number of pairs."""
+    words = {p: [DualCochain(A, {(w, A.unit): 1}, degree=0)
+                 for w in itertools.product(A.basis_of_degree(1), repeat=p)]
+             for p in range(1, max_weight + 1)}
+    checked = 0
+    for p, q in itertools.product(words, repeat=2):
+        for c1 in words[p]:
+            for c2 in words[q]:
+                full = bracket(A, c1, c2, p, q)
+                top = {k: c for k, c in full.entries.items()
+                       if len(k[0]) == p + q - 2}
+                assert e1_bracket(A, c1, c2, p, q).entries == top, (c1, c2)
+                checked += 1
+    return checked
+
+
 def test_criterion_10_e1_bracket_matches_full_pipeline():
     """Leading-layer bracket formula equals the full pipeline projected
-    to the top weight layer, for every functional pair with p, q <= 3 on
-    the torus; agreement is on the nose because the quotient coboundary
-    vanishes for a model with zero differential."""
+    to the top weight layer, for every single-word pair with p, q <= 3 on
+    the torus and p, q <= 2 on the genus-2 surface; agreement is on the
+    nose because the quotient coboundary vanishes for a model with zero
+    differential."""
     t2 = model("torus:2")
-    deg1 = t2.basis_of_degree(1)
     for n in range(1, 5):
         for w in itertools.product(t2.letters, repeat=n):
             for val in range(t2.dim):
                 # cutoff len(w): the weight-graded quotient coboundary
                 assert _delta_entry_dual(t2, w, val, n) == {}
-    symp = symplectic_basis(t2)
-    checked = 0
-    for p in (1, 2, 3):
-        for q in (1, 2, 3):
-            for w1 in itertools.product(deg1, repeat=p):
-                for w2 in itertools.product(deg1, repeat=q):
-                    f1 = E1Functional(p, {w1: 1})
-                    f2 = E1Functional(q, {w2: 1})
-                    formula = e1_bracket(t2, f1, f2, symp)
-                    full = bracket(t2, dual_cochain_of_e1(t2, f1),
-                                   dual_cochain_of_e1(t2, f2), p, q)
-                    got = e1_of_dual_cochain(t2, full, p + q - 2)
-                    assert got == formula, (w1, w2)
-                    checked += 1
-    assert checked == (2 + 4 + 8) ** 2
+    assert _e1_sweep(t2, 3) == (2 + 4 + 8) ** 2
+    assert _e1_sweep(model("surface:2"), 2) == (4 + 16) ** 2
 
 
 def test_criterion_11_quasi_isomorphism_invariance():

@@ -199,6 +199,20 @@ def test_bracket_needs_symplectic_model(capsys):
     assert code == 1
 
 
+def test_bracket_refuses_model_before_building_slices(capsys, monkeypatch):
+    def no_slices(*args, **kwargs):
+        raise AssertionError("a slice was built")
+
+    monkeypatch.setattr("looptop.cli.hochschild_homology", no_slices)
+    for mid, message in (
+            ("sphere:3", "model lacks symplectic degree-1 structure "
+                         "(top degree 3 != 2)"),
+            ("acyclic_extension:torus:2", "orientation pairing of "
+             "acyclic_extension(torus(2)) is not chain-invertible")):
+        code, out, err = run(capsys, ["bracket", "--model", mid, "--p", "4"])
+        assert (code, out, err) == (1, "", f"error: {message}\n"), mid
+
+
 def test_pi1_compare(capsys):
     code, out, _ = run(capsys, ["pi1-compare", "--p", "3"])
     assert code == 0

@@ -5,13 +5,11 @@ import random
 import pytest
 
 from conftest import MODEL_IDS, model, random_cochain, slice_bases
-from looptop.cochains import (Cochain, DualCochain, delta_to_A, delta_to_dual,
-                              hochschild_homology)
-from looptop.duality import (BracketModelError, E1Functional, NotInImageError,
-                             bracket, chain_pairing_invertible, connes_B,
-                             dual_cochain_of_e1, e1_bracket,
-                             e1_of_dual_cochain, e1_term, poincare_P,
-                             poincare_P_chain_inverse, poincare_P_inverse,
+from looptop.cochains import (Cochain, DualCochain, GradingError, delta_to_A,
+                              delta_to_dual, hochschild_homology)
+from looptop.duality import (BracketModelError, NotInImageError, bracket,
+                             chain_pairing_invertible, connes_B, e1_bracket,
+                             e1_term, poincare_P, poincare_P_chain_inverse,
                              symplectic_basis)
 
 ORIENTED = ["sphere:2", "sphere:3", "complex_projective:1",
@@ -72,22 +70,14 @@ def test_poincare_chain_inverse_roundtrip():
             assert poincare_P(A, back).sub(psi).is_zero
 
 
-def test_poincare_inverse_homology_path():
-    """Without an invertible chain pairing, invert up to a coboundary."""
-    E = model("acyclic_extension:surface:1")
-    h1 = hochschild_homology(E, "to_dual", (1, 1), 3)[1]
-    for vec in h1.representatives:
-        psi = DualCochain(E, dict(vec), degree=1)
-        phi = poincare_P_inverse(E, psi, 3)
-        diff = poincare_P(E, phi).sub(psi)
-        assert h1.is_boundary(diff.entries)
-
-
-def test_poincare_inverse_raises_off_image():
-    E = model("acyclic_extension:surface:1")
-    psi = DualCochain(E, {((1,), 2): 1}, degree=1)
-    with pytest.raises(NotInImageError):
-        poincare_P_inverse(E, psi, 2)
+def test_poincare_chain_inverse_refuses_degenerate_pairing():
+    for mid in (m for m, flag in PAIRING_INVERTIBLE.items() if not flag):
+        A = model(mid)
+        psi = DualCochain(A, {((), A.unit): 1}, degree=0)
+        with pytest.raises(NotInImageError) as err:
+            poincare_P_chain_inverse(A, psi)
+        assert str(err.value) == (
+            f"orientation pairing of {A.label} is not chain-invertible")
 
 
 def test_connes_B_frozen_torus_value():
@@ -141,21 +131,41 @@ def test_symplectic_basis_rejects_spheres():
 
 def test_e1_bracket_frozen_base_cases():
     t2 = model("torus:2")
-    alpha = E1Functional(1, {(1,): 1})
-    beta = E1Functional(1, {(2,): 1})
-    assert e1_bracket(t2, alpha, beta).table == {(): 1}
-    assert e1_bracket(t2, beta, alpha).table == {(): -1}
-    assert e1_bracket(t2, alpha, alpha).is_zero
+    alpha = DualCochain(t2, {((1,), t2.unit): 1}, degree=0)
+    beta = DualCochain(t2, {((2,), t2.unit): 1}, degree=0)
+    assert e1_bracket(t2, alpha, beta, 1, 1).entries == {((), t2.unit): 1}
+    assert e1_bracket(t2, beta, alpha, 1, 1).entries == {((), t2.unit): -1}
+    assert e1_bracket(t2, alpha, alpha, 1, 1).is_zero
+    one = DualCochain(t2, {((), t2.unit): 1}, degree=0)
+    for args in ((one, alpha, 0, 1), (alpha, one, 1, 0), (one, one, 0, 0)):
+        assert bracket(t2, *args).is_zero
+        assert e1_bracket(t2, *args).is_zero
 
 
 def test_e1_bracket_matches_full_pipeline_spot():
     t2 = model("torus:2")
-    f1 = E1Functional(2, {(1, 2): 1})
-    f2 = E1Functional(1, {(2,): 1})
-    formula = e1_bracket(t2, f1, f2)
-    full = bracket(t2, dual_cochain_of_e1(t2, f1),
-                   dual_cochain_of_e1(t2, f2), 2, 1)
-    assert e1_of_dual_cochain(t2, full, 1) == formula
+    c1 = DualCochain(t2, {((1, 2), t2.unit): 1, ((1,), t2.unit): 5},
+                     degree=0)
+    c2 = DualCochain(t2, {((2,), t2.unit): 1}, degree=0)
+    formula = e1_bracket(t2, c1, c2, 2, 1)
+    assert formula.degree == 0 and formula.weight_support == 1
+    full = bracket(t2, c1, c2, 2, 1)
+    top = {k: c for k, c in full.entries.items() if len(k[0]) == 1}
+    assert top == formula.entries != {}
+
+
+def test_e1_bracket_shares_the_bracket_gate():
+    t2 = model("torus:2")
+    c = DualCochain(t2, {((1, 2), t2.unit): 1}, degree=0)
+    s2 = model("sphere:2")
+    unit = DualCochain(s2, {((), 0): 1}, degree=0)
+    for fn in (bracket, e1_bracket):
+        with pytest.raises(GradingError, match="stated filtration"):
+            fn(t2, c, c, 1, 2)
+        with pytest.raises(GradingError, match="expects dual cochains"):
+            fn(t2, Cochain(t2, {}, degree=0), c, 2, 2)
+        with pytest.raises(BracketModelError):
+            fn(s2, unit, unit, 1, 1)
 
 
 def test_e1_term_dimension_reports():
