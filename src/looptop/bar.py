@@ -3,7 +3,9 @@
 Words are tuples of positive-degree basis indices (letters).  The word
 (w_1, ..., w_r) sits in degree sum(|w_i| - 1) and weight r; the boundary
 raises degree by one and never raises weight.  Components landing on the
-unit (degree-0 products) are dropped: the construction is reduced.
+unit (degree-0 products) are dropped: the construction is reduced.  The
+boundary is written once, transposed (boundary_preimages): bar slices and
+both cochain coboundaries read it.
 """
 
 import itertools
@@ -23,27 +25,32 @@ def prefix_degrees(A, word):
     return eps
 
 
-def bar_d(A, word):
-    """Boundary of a single word as dict word -> coeff.
+def boundary_preimages(A, v, max_weight):
+    """The bar boundary, transposed: words w of weight <= max_weight with
+    v in the support of d(w), mapped to the coefficient of v in d(w).
 
-    Two families of terms: apply the model differential to one letter, or
-    merge two adjacent letters with the product.  Each carries the sign
-    -(-1)^e where e is the bar degree of the prefix through the affected
-    letter block's start (through the first merged letter for merges).
+    Two families of terms: replace one letter of v by a differential
+    preimage, or split one letter by the transposed product.  Each carries
+    the sign -(-1)^e where e is the bar degree of the prefix of w through
+    the start of the affected letter block (through the first split letter
+    for splits).  Contributions are accumulated: a given w may reach v
+    several ways.
     """
+    eps = prefix_degrees(A, v)
+    splits = len(v) + 1 <= max_weight
     out = {}
-    eps = prefix_degrees(A, word)
-    r = len(word)
-    for i in range(r):
-        sign = -1 if eps[i] % 2 == 0 else 1
-        for k, c in A.d(word[i]).items():
-            acc(out, word[:i] + (k,) + word[i + 1:], sign * c)
-    for i in range(r - 1):
-        sign = -1 if eps[i + 1] % 2 == 0 else 1
-        for k, c in A.mul(word[i], word[i + 1]).items():
-            if A.degrees[k] == 0:
-                continue  # reduced: unit letters are dropped
-            acc(out, word[:i] + (k,) + word[i + 2:], sign * c)
+    for idx, vi in enumerate(v):
+        sign = -1 if eps[idx] % 2 == 0 else 1
+        for ell, cd in A.co_d.get(vi, ()):
+            if A.degrees[ell] < 1:
+                continue
+            acc(out, v[:idx] + (ell,) + v[idx + 1:], sign * cd)
+        if not splits:
+            continue
+        for l1, l2, cm in A.co_split.get(vi, ()):
+            e = eps[idx] + A.degrees[l1] - 1
+            sign2 = -1 if e % 2 == 0 else 1
+            acc(out, v[:idx] + (l1, l2) + v[idx + 1:], sign2 * cm)
     return out
 
 
@@ -108,48 +115,31 @@ class BarSlice:
 
 
 def bar_slice(A, degree, max_weight):
-    words = words_by_degree(A, max_weight).get(degree, ())
-    d_columns = {w: bar_d(A, w) for w in words}
+    """The slice, with each column read off by transposing
+    boundary_preimages over the words of degree + 1."""
+    table = words_by_degree(A, max_weight)
+    words = table.get(degree, ())
+    d_columns = {w: {} for w in words}
+    for v in table.get(degree + 1, ()):
+        for w, mu in boundary_preimages(A, v, max_weight).items():
+            d_columns[w][v] = mu
     return BarSlice(degree, max_weight, words, d_columns,
                     slice_complete(A, degree, max_weight))
 
 
-class HomologyPresentation:
-    """Betti number with representatives and an expression test."""
-
-    def __init__(self, degree, subquotient, exact):
-        self.degree = degree
-        self.betti = subquotient.betti
-        self.exact = exact
-        self.representatives = subquotient.representatives
-        self._sub = subquotient
-
-    def express(self, vec):
-        return self._sub.express(vec)
-
-    def is_boundary(self, vec):
-        return self._sub.is_boundary(vec)
-
-    def __repr__(self):
-        flag = "exact" if self.exact else "weight-truncated"
-        return (f"HomologyPresentation(degree={self.degree}, "
-                f"betti={self.betti}, {flag})")
-
-
 def bar_homology(A, degree_range, max_weight):
-    """Bar homology per degree: degree -> HomologyPresentation.
+    """Bar homology per degree: degree -> SubquotientBasis.
 
     The boundary raises degree, so cycles in degree n are killed from
-    degree n - 1.  The Betti number is exact when both neighbouring slices
-    are provably complete at this weight.
+    degree n - 1.  The result is exact when both neighbouring slices are
+    provably complete at this weight.
     """
     lo, hi = degree_range
     slices = {n: bar_slice(A, n, max_weight) for n in range(lo - 1, hi + 1)}
     out = {}
     for n in range(lo, hi + 1):
-        sub = homology(slices[n - 1].d_columns, slices[n].d_columns)
-        exact = slices[n].complete and slices[n - 1].complete
-        out[n] = HomologyPresentation(n, sub, exact)
+        out[n] = homology(slices[n - 1].d_columns, slices[n].d_columns)
+        out[n].exact = slices[n].complete and slices[n - 1].complete
     return out
 
 

@@ -111,14 +111,22 @@ def _load_valid_model(args):
     return A
 
 
-def _refuse_default_weight(A, flag):
-    """A default weight is refused on a model with degree-1 generators:
-    no weight is exact there, and words of every length share a degree,
-    so the default enumeration grows without bound."""
-    if not A.simply_connected:
-        raise UsageError(
-            f"model {A.label} has degree-1 generators, so no weight "
-            f"cutoff is exact; give {flag}")
+def _weight_cutoff(A, value, name, default):
+    """The weight cutoff given as --name, or default when it is absent.
+
+    A negative cutoff is refused.  So is the default on a model with
+    degree-1 generators: no weight is exact there, and words of every
+    length share a degree, so the default enumeration grows without
+    bound."""
+    if value is None:
+        if not A.simply_connected:
+            raise UsageError(
+                f"model {A.label} has degree-1 generators, so no weight "
+                f"cutoff is exact; give --{name}")
+        return default
+    if value < 0:
+        raise UsageError(f"{name} must be non-negative")
+    return value
 
 
 def _emit(text):
@@ -158,12 +166,8 @@ def _cmd_loop_homology(args):
     hi = A.top_degree + 2 if args.max_degree is None else args.max_degree
     if lo > hi:
         raise UsageError(f"degenerate degree range {lo}..{hi}")
-    cutoff = args.cutoff
-    if cutoff is None:
-        _refuse_default_weight(A, "--cutoff")
-        cutoff = max(hi + 1 + A.top_degree, 0)
-    if cutoff < 0:
-        raise UsageError("cutoff must be non-negative")
+    cutoff = _weight_cutoff(A, args.cutoff, "cutoff",
+                            max(hi + 1 + A.top_degree, 0))
     ring = loop_homology(A, (lo, hi), cutoff)
     if args.format == "json":
         obj = {
@@ -189,10 +193,8 @@ def _cmd_bar_betti(args):
     hi = 2 * A.top_degree if args.max_degree is None else args.max_degree
     if lo > hi:
         raise UsageError(f"degenerate degree range {lo}..{hi}")
-    max_weight = args.max_weight
-    if max_weight is None:
-        _refuse_default_weight(A, "--max-weight")
-        max_weight = max(hi, 0)
+    max_weight = _weight_cutoff(A, args.max_weight, "max-weight",
+                                max(hi, 0))
     hom = bar_homology(A, (lo, hi), max_weight)
     if args.format == "json":
         obj = {"model": A.label, "max_weight": max_weight,

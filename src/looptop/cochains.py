@@ -15,7 +15,7 @@ acceptance sweeps fast.
 """
 
 from .linalg import acc, add_scaled, compose_columns, homology
-from .bar import (HomologyPresentation, bar_degree, prefix_degrees,
+from .bar import (bar_degree, boundary_preimages,
                   slice_complete as bar_complete, words_by_degree, word_str)
 
 
@@ -123,33 +123,6 @@ def unit_cochain(A):
     return Cochain(A, {((), A.unit): 1})
 
 
-def _co_preimages(A, v, cutoff):
-    """Words w with v in the support of bar_d(w), with coefficients.
-
-    Yields (w, mu) pairs where mu is the coefficient of v in bar_d(w);
-    contributions are accumulated (a given w may reach v several ways).
-    Substitution preimages replace one letter by a differential preimage;
-    merge preimages split one letter by the transposed product.
-    """
-    eps = prefix_degrees(A, v)
-    out = {}
-    for idx, vi in enumerate(v):
-        sign = -1 if eps[idx] % 2 == 0 else 1
-        for ell, cd in A.co_d.get(vi, ()):
-            if A.degrees[ell] < 1:
-                continue
-            w = v[:idx] + (ell,) + v[idx + 1:]
-            acc(out, w, sign * cd)
-        if cutoff is not None and len(v) + 1 > cutoff:
-            continue
-        for l1, l2, cm in A.co_split.get(vi, ()):
-            e = eps[idx] + A.degrees[l1] - 1
-            sign2 = -1 if e % 2 == 0 else 1
-            w = v[:idx] + (l1, l2) + v[idx + 1:]
-            acc(out, w, sign2 * cm)
-    return out
-
-
 def _delta_entry_dual(A, v, c_val, cutoff):
     """Coboundary of the dual basis cochain supported at (v, c_val)."""
     out = {}
@@ -159,12 +132,10 @@ def _delta_entry_dual(A, v, c_val, cutoff):
         acc(out, (v, b), cd)
     # transposed bar boundary, sign (-1)^{|b|} with b = c_val
     s2 = -1 if A.degrees[c_val] % 2 else 1
-    for w, mu in _co_preimages(A, v, cutoff).items():
+    for w, mu in boundary_preimages(A, v, cutoff).items():
         acc(out, (w, c_val), s2 * mu)
     # prepend / append a letter, absorbing it into the test slot
-    fits = cutoff is None or len(v) + 1 <= cutoff
-    if fits:
-        e_v = eps_v
+    if len(v) + 1 <= cutoff:
         for ell in A.letters:
             for b, cm in A.co_left_mul.get((ell, c_val), ()):
                 sb = A.degrees[b]
@@ -172,7 +143,7 @@ def _delta_entry_dual(A, v, c_val, cutoff):
                 s3 = 1 if sb % 2 else -1
                 acc(out, ((ell,) + v, b), s3 * cm)
                 # append: +(-1)^{|b| + eps_{r-1}(|w_r|+1)} phi(w[:-1])(b w_r)
-                e4 = sb + e_v * (A.degrees[ell] + 1)
+                e4 = sb + eps_v * (A.degrees[ell] + 1)
                 s4 = -1 if e4 % 2 else 1
                 acc(out, (v + (ell,), b), s4 * cm)
     return out
@@ -187,10 +158,9 @@ def _delta_entry_to_A(A, v, a, cutoff):
     for k, cd in A.d(a).items():
         acc(out, (v, k), s1 * cd)
     # transposed bar boundary (total sign works out to (-1)^{|a|} mu)
-    for w, mu in _co_preimages(A, v, cutoff).items():
+    for w, mu in boundary_preimages(A, v, cutoff).items():
         acc(out, (w, a), s1 * mu)
-    fits = cutoff is None or len(v) + 1 <= cutoff
-    if fits:
+    if len(v) + 1 <= cutoff:
         e_v = bar_degree(A, v)
         n = e_v - sa
         for ell in A.letters:
@@ -207,7 +177,7 @@ def _delta_entry_to_A(A, v, a, cutoff):
     return out
 
 
-def delta_to_A(A, phi, weight_cutoff=None):
+def delta_to_A(A, phi, weight_cutoff):
     """Coboundary of a to-A cochain; degree drops by one."""
     out = {}
     for (v, a), c in phi.entries.items():
@@ -216,7 +186,7 @@ def delta_to_A(A, phi, weight_cutoff=None):
     return Cochain(A, out, degree=phi.degree - 1)
 
 
-def delta_to_dual(A, phi, weight_cutoff=None):
+def delta_to_dual(A, phi, weight_cutoff):
     """Coboundary of a dual cochain; degree drops by one."""
     out = {}
     for (v, b), c in phi.entries.items():
@@ -225,7 +195,7 @@ def delta_to_dual(A, phi, weight_cutoff=None):
     return DualCochain(A, out, degree=phi.degree - 1)
 
 
-def cup(A, phi1, phi2, weight_cutoff=None):
+def cup(A, phi1, phi2, weight_cutoff):
     """Cup product of two to-A cochains by word concatenation.
 
     (phi1 ∪ phi2)(uv) = ±phi1(u) ∧ phi2(v) with the Koszul sign
@@ -237,7 +207,7 @@ def cup(A, phi1, phi2, weight_cutoff=None):
     out = {}
     for (v1, a1), c1 in phi1.entries.items():
         for (v2, a2), c2 in phi2.entries.items():
-            if weight_cutoff is not None and len(v1) + len(v2) > weight_cutoff:
+            if len(v1) + len(v2) > weight_cutoff:
                 continue
             prod = A.mul(a1, a2)
             if not prod:
@@ -317,9 +287,8 @@ def hochschild_homology(A, variant, degree_range, weight_cutoff):
               for n in range(lo, hi + 2)}
     out = {}
     for n in range(lo, hi + 1):
-        sub = homology(slices[n + 1].delta_columns, slices[n].delta_columns)
-        exact = slices[n].complete and slices[n + 1].complete
-        out[n] = HomologyPresentation(n, sub, exact)
+        out[n] = homology(slices[n + 1].delta_columns, slices[n].delta_columns)
+        out[n].exact = slices[n].complete and slices[n + 1].complete
     return out
 
 
@@ -386,9 +355,6 @@ class LoopHomology:
 
     def class_cochain(self, degree, k):
         return self.representatives[degree][k]
-
-    def product(self, key1, key2):
-        return self.ring.get((key1, key2))
 
     def tsv(self):
         prods = {}

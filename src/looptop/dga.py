@@ -124,11 +124,6 @@ class DGA:
     def simply_connected(self):
         return all(q != 1 for q in self.degrees)
 
-    @property
-    def connected(self):
-        zeros = [i for i, q in enumerate(self.degrees) if q == 0]
-        return zeros == [self.unit]
-
     def basis_of_degree(self, q):
         if "by_degree" not in self._cache:
             by = {}

@@ -191,6 +191,9 @@ def compare_pi1_dimensions(p, weight_cutoff=None, A=None):
     of the augmentation ideal); a smaller cutoff cannot see all of the
     quotient and raises TruncationError.
     """
+    # Imported here, not at the top, so the name is read from cochains at
+    # call time: a wrapper installed on cochains.hochschild_homology (as
+    # the benchmark's tracer and size probe do) then sees this call.
     from .cochains import hochschild_homology
 
     if p < 1:

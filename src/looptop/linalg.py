@@ -230,8 +230,11 @@ class SubquotientBasis:
     vector as rep coefficients modulo the boundary space, keyed by
     ascending rep index; the answer is None when the vector is not even a
     cycle (more precisely, not in span(reps) + boundaries, which for
-    cycles is the same thing).
+    cycles is the same thing).  exact is False only on a weight-truncated
+    slice, where bar_homology and hochschild_homology set it.
     """
+
+    exact = True
 
     def __init__(self, cycle_rank, boundary_rank, representatives, echelon):
         self.cycle_rank = cycle_rank

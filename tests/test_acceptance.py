@@ -99,7 +99,7 @@ def test_criterion_04_sphere3_loop_ring():
     assert all(L.exact[n] for n in range(-3, 9))
     a = L.representatives[-3][0]
     u = L.representatives[2][0]
-    assert cup(s3, a, a).is_zero
+    assert cup(s3, a, a, 2 * a.weight_support).is_zero
     pows = {1: u}
     for k in range(2, 5):
         pows[k] = cup(s3, pows[k - 1], u, 8)
@@ -229,8 +229,9 @@ def test_criterion_08_lie_axioms():
 
 def test_criterion_09_bracket_filtration_law():
     """The untruncated bracket pipeline lands in weight p + q - 2: apply
-    the cyclic operator, invert the duality, cup with no window, and map
-    back, then read off the weight support."""
+    the cyclic operator, invert the duality, cup at the sum of the two
+    weight supports (a cutoff that drops no term), and map back, then
+    read off the weight support."""
     for mid, levels in (("torus:2", (1, 2, 3)), ("surface:1", (1, 2))):
         A = model(mid)
         for p in levels:
@@ -239,7 +240,8 @@ def test_criterion_09_bracket_filtration_law():
                     for y in dual_classes(mid, q):
                         bx = poincare_P_chain_inverse(A, connes_B(A, x, p))
                         by = poincare_P_chain_inverse(A, connes_B(A, y, q))
-                        raw = poincare_P(A, cup(A, bx, by)).scale(-1)
+                        support = bx.weight_support + by.weight_support
+                        raw = poincare_P(A, cup(A, bx, by, support)).scale(-1)
                         assert raw.weight_support <= max(p + q - 2, 0)
 
 

@@ -179,6 +179,18 @@ def test_bar_betti_needs_max_weight_with_degree_one_letters(capsys):
         assert "degree-1 generators" in err and "--max-weight" in err, mid
 
 
+@pytest.mark.parametrize("command, flag", [("loop-homology", "--cutoff"),
+                                           ("bar-betti", "--max-weight")])
+def test_negative_weight_cutoff_is_usage_error(capsys, command, flag):
+    """A negative cutoff holds no word, not even the empty one, so the
+    report would be all zeros; it is refused instead."""
+    for mid in ("sphere:3", "torus:2"):
+        code, out, err = run(capsys, [command, "--model", mid, flag, "-1"])
+        assert code == 2, mid
+        assert out == "", mid
+        assert err == f"usage error: {flag[2:]} must be non-negative\n", mid
+
+
 def test_bracket_table_torus(capsys):
     code, out, _ = run(capsys, ["bracket", "--model", "torus:2", "--p", "2"])
     assert code == 0

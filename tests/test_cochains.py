@@ -47,14 +47,14 @@ def test_frozen_sphere_coboundary():
     s2 = model("sphere:2")
     x = s2.index("x")
     psi = DualCochain(s2, {((x,), x): 1})
-    out = delta_to_dual(s2, psi)
+    out = delta_to_dual(s2, psi, psi.weight_support + 1)
     assert out.entries == {((x, x), s2.unit): -2}
     assert out.degree == psi.degree - 1
     s3 = model("sphere:3")
     y = s3.index("x")
-    assert delta_to_dual(s3, DualCochain(s3, {((y,), y): 1})).is_zero
+    assert delta_to_dual(s3, DualCochain(s3, {((y,), y): 1}), 2).is_zero
     # the to-A coboundary of the same shape vanishes outright: x.x = 0
-    assert delta_to_A(s2, Cochain(s2, {((x,), x): 1})).is_zero
+    assert delta_to_A(s2, Cochain(s2, {((x,), x): 1}), 2).is_zero
 
 
 def test_delta_squared_zero_quick():
@@ -68,9 +68,10 @@ def test_delta_squared_zero_quick():
 def test_delta_lowers_degree_in_both_variants():
     t2 = model("torus:2")
     phi = Cochain(t2, {((1, 2), 3): 1})
-    assert delta_to_A(t2, phi).degree == phi.degree - 1
+    assert delta_to_A(t2, phi, phi.weight_support + 1).degree == phi.degree - 1
     psi = DualCochain(t2, {((1, 2), 3): 1})
-    assert delta_to_dual(t2, psi).degree == psi.degree - 1
+    assert (delta_to_dual(t2, psi, psi.weight_support + 1).degree
+            == psi.degree - 1)
 
 
 def test_unit_cochain_is_cup_unit():
@@ -107,7 +108,7 @@ def test_cup_degree_additivity():
     x = A.index("x")
     p1 = Cochain(A, {((x,), x): 1})
     p2 = Cochain(A, {((x, x), A.unit): 1})
-    prod = cup(A, p1, p2)
+    prod = cup(A, p1, p2, p1.weight_support + p2.weight_support)
     assert prod.degree == p1.degree + p2.degree
 
 
@@ -165,7 +166,7 @@ def test_loop_homology_sphere3_window():
 
 def test_loop_homology_ring_table():
     L = loop_homology(model("sphere:3"), (-3, 5), 8)
-    prod = L.product((-3, 0), (2, 0))
+    prod = L.ring[((-3, 0), (2, 0))]
     assert prod == {(-1, 0): 1}
     tsv = L.tsv()
     lines = tsv.strip().split("\n")
