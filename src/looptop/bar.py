@@ -8,8 +8,6 @@ boundary is written once, transposed (boundary_preimages): bar slices and
 both cochain coboundaries read it.
 """
 
-import itertools
-
 from .linalg import acc, compose_columns, homology
 
 
@@ -54,20 +52,33 @@ def boundary_preimages(A, v, max_weight):
     return out
 
 
-def words_by_degree(A, max_weight):
-    """All words of weight <= max_weight bucketed by bar degree.
+def words_by_degree(A, max_weight, max_degree):
+    """Words of weight <= max_weight and bar degree <= max_degree, bucketed
+    by bar degree.
 
-    Enumeration order inside a bucket is (weight, letter indices), which
-    every slice basis inherits.  Cached on the model.
+    One pass per weight extends the previous weight's words by each letter
+    in index order, so every bucket is in (weight, letter indices) order,
+    which every slice basis inherits.  Letter bar degrees are >= 0, so a
+    prefix whose degree already exceeds max_degree is dropped with all its
+    extensions.  Cached on the model per max_weight and rebuilt only when
+    a caller asks for a higher max_degree, so the table returned may also
+    hold buckets above max_degree.
     """
     cache = A._cache.setdefault("words_by_degree", {})
-    if max_weight not in cache:
+    hit = cache.get(max_weight)
+    if hit is None or hit[0] < max_degree:
+        steps = [(i, A.degrees[i] - 1) for i in A.letters]
+        layer = [((), 0)] if max_degree >= 0 else []
         buckets = {}
         for r in range(max_weight + 1):
-            for word in itertools.product(A.letters, repeat=r):
-                buckets.setdefault(bar_degree(A, word), []).append(word)
-        cache[max_weight] = {n: tuple(ws) for n, ws in buckets.items()}
-    return cache[max_weight]
+            if r:
+                layer = [(word + (i,), n + e) for word, n in layer
+                         for i, e in steps if n + e <= max_degree]
+            for word, n in layer:
+                buckets.setdefault(n, []).append(word)
+        hit = cache[max_weight] = (
+            max_degree, {n: tuple(ws) for n, ws in buckets.items()})
+    return hit[1]
 
 
 def _min_letter_degree(A):
@@ -117,7 +128,7 @@ class BarSlice:
 def bar_slice(A, degree, max_weight):
     """The slice, with each column read off by transposing
     boundary_preimages over the words of degree + 1."""
-    table = words_by_degree(A, max_weight)
+    table = words_by_degree(A, max_weight, degree + 1)
     words = table.get(degree, ())
     d_columns = {w: {} for w in words}
     for v in table.get(degree + 1, ()):

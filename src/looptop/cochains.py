@@ -260,7 +260,10 @@ def assemble_complex(A, variant, degree, weight_cutoff):
     """Build the degree slice: basis keys and coboundary columns."""
     if variant not in ("to_A", "to_dual"):
         raise ValueError(f"unknown variant {variant!r}")
-    buckets = words_by_degree(A, weight_cutoff)
+    # to-A keys (w, a) need bar degree |w| = degree + |a| <= degree + top;
+    # dual keys (w, b) need |w| = degree - |b| <= degree
+    reach = degree + max(A.degrees) if variant == "to_A" else degree
+    buckets = words_by_degree(A, weight_cutoff, reach)
     basis = []
     for eps, words in buckets.items():
         q = eps - degree if variant == "to_A" else degree - eps

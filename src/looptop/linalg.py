@@ -171,8 +171,9 @@ class Echelon:
         row_vec, row_combo = _normalized(row_vec, row_combo)
         new = _Row(row_vec, row_combo)
         p = new.vec[k]
-        for pk in sorted(self.rows):
-            row = self.rows[pk]
+        # each update reads only that row and the new one, so any order
+        # gives the same rows
+        for row in self.rows.values():
             c = row.vec.get(k, 0)
             if not c:
                 continue

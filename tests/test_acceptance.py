@@ -312,6 +312,9 @@ def test_criterion_12_determinism_across_processes():
          "--min", "-3", "--max", "2", "--cutoff", "5"],
         # the genus-2 symplectic basis and the pairing table
         ["bracket", "--model", "surface:2", "--p", "2", "--format", "json"],
+        # the default window and cutoff of a simply connected model
+        # (degrees -6..8, cutoff 15)
+        ["loop-homology", "--model", "complex_projective:3"],
     ]
 
     def run_all(seed):

@@ -10,9 +10,11 @@ import itertools
 from fractions import Fraction
 
 from conftest import model
+from looptop import bar, builtin_model, cochains
 from looptop.bar import (bar_d_squared_zero, bar_degree, bar_homology,
                          bar_slice, prefix_degrees,
                          slice_complete, words_by_degree)
+from looptop.cochains import loop_homology
 from looptop.linalg import apply_columns
 
 
@@ -190,7 +192,7 @@ def test_slice_complete_bound():
 
 def test_words_by_degree_ordering():
     A = model("complex_projective:2")
-    table = words_by_degree(A, 4)
+    table = words_by_degree(A, 4, 12)
     for bucket in table.values():
         weights = [len(w) for w in bucket]
         assert weights == sorted(weights)
@@ -198,6 +200,44 @@ def test_words_by_degree_ordering():
             assert (len(a), a) < (len(b), b)
     # the empty word is the whole degree-0 bucket
     assert table[0] == ((),)
+
+
+def test_words_by_degree_matches_brute_force():
+    """The degree-bounded table holds dense_words' buckets, in the same
+    order, for every bar degree up to the bound and no other; a table
+    cached for a higher bound still agrees on every bucket up to the
+    bound asked for."""
+    cases = (("complex_projective:2", 6), ("torus:2", 5), ("surface:2", 3),
+             ("acyclic_extension:sphere:3", 4))
+    for mid, weight in cases:
+        shared = builtin_model(mid)
+        for bound in (-1, 0, 1, 3, 7, 30, 2):
+            want = {n: tuple(ws) for n in range(bound + 1)
+                    if (ws := dense_words(shared, n, weight))}
+            fresh = builtin_model(mid)
+            assert words_by_degree(fresh, weight, bound) == want, (mid, bound)
+            got = words_by_degree(shared, weight, bound)
+            assert {n: ws for n, ws in got.items() if n <= bound} == want
+
+
+def test_word_tables_stay_small_on_ring(monkeypatch):
+    """loop_homology and bar_homology of acyclic_extension:sphere:3 at
+    cutoff 9 use a few thousand words; enumerating every word of weight
+    <= 9 would build 2,441,406 of them."""
+    tables = {}
+
+    def counted(*args):
+        table = words_by_degree(*args)
+        tables[id(table)] = table
+        return table
+
+    for owner in (bar, cochains):
+        monkeypatch.setattr(owner, "words_by_degree", counted)
+    A = builtin_model("acyclic_extension:sphere:3")
+    loop_homology(A, (-3, 8), 9)
+    bar_homology(A, (0, 12), 9)
+    built = sum(len(ws) for table in tables.values() for ws in table.values())
+    assert 0 < built <= 10_000, built
 
 
 def test_bar_slice_columns_shape():

@@ -119,6 +119,19 @@ def test_loop_homology_tsv_frozen(capsys):
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == want, mid
 
 
+# the default window of CP^3 (degrees -6..8) at cutoff 11: exit code and
+# sha256 of stdout, recorded while every word up to the cutoff was built
+# (265,720 words)
+CP3_CUTOFF_11 = (
+    3, "18d095107d280aa9bb63738ca4bb4f992527a4e7cf55f3e5a02cb6403999d2e7")
+
+
+def test_loop_homology_default_window_frozen(capsys):
+    code, out, _ = run(capsys, ["loop-homology", "--model",
+                                "complex_projective:3", "--cutoff", "11"])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == CP3_CUTOFF_11
+
+
 def test_loop_homology_truncated_run(capsys):
     code, out, _ = run(capsys, ["loop-homology", "--model", "sphere:2",
                                 "--min", "0", "--max", "4", "--cutoff", "2"])

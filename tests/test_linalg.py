@@ -7,7 +7,8 @@ import pytest
 
 from looptop.linalg import (CompositionError, Echelon, acc, add_scaled,
                             apply_columns, column_rank, compose_columns,
-                            homology, kernel_basis, vec_combine)
+                            homology, kernel_basis, vec_combine,
+                            _div, _normalized, _Row)
 
 
 def test_vec_helpers_drop_zeros():
@@ -87,6 +88,67 @@ def _echelon_of(columns):
     rows = {pk: (dict(row.vec), dict(row.combo))
             for pk, row in ech.rows.items()}
     return pivots, rows
+
+
+def _insert_sorted_order(ech, vec, tag):
+    """Reference insert: back-substitutes into the rows in sorted pivot
+    order, with its own loop over Echelon's row arithmetic."""
+    v, combo, scale = ech.reduce(vec)
+    if not v:
+        return {t: _div(x, scale) for t, x in combo.items() if x}
+    k = min(v)
+    sign = 1 if v[k] > 0 else -1
+    new_combo = {t: -sign * x for t, x in combo.items() if x}
+    new_combo[tag] = new_combo.get(tag, 0) + sign * scale
+    new = _Row(*_normalized({kk: sign * x for kk, x in v.items()},
+                            new_combo))
+    p = new.vec[k]
+    for pk in sorted(ech.rows):
+        row = ech.rows[pk]
+        c = row.vec.get(k, 0)
+        if c:
+            row.vec, row.combo = _normalized(
+                vec_combine(row.vec, p, new.vec, -c),
+                add_scaled({t: p * x for t, x in row.combo.items()},
+                           new.combo, -c))
+    ech.rows[k] = new
+    return None
+
+
+def test_echelon_rows_do_not_depend_on_update_order():
+    """Echelon.insert updates its rows in insertion order; a reference
+    that updates them in sorted pivot order gives the same rows, insert
+    answers and express answers on seeded random columns, dependent ones
+    included."""
+    rng = random.Random(31)
+    order_differed = False
+    for trial in range(60):
+        nkeys = rng.randint(3, 9)
+        fast, ref, inserted = Echelon(), Echelon(), []
+        for j in range(rng.randint(2, 12)):
+            if inserted and rng.random() < 0.3:
+                vec = {}
+                for other in rng.sample(inserted, min(2, len(inserted))):
+                    add_scaled(vec, other, rng.randint(-3, 3))
+            else:
+                vec = {k: c for k in rng.sample(range(nkeys),
+                                                rng.randint(1, nkeys))
+                       if (c := rng.randint(-4, 4))}
+            inserted.append(vec)
+            got = fast.insert(dict(vec), j)
+            assert got == _insert_sorted_order(ref, dict(vec), j), trial
+        order_differed |= list(fast.rows) != sorted(fast.rows)
+        assert ({pk: (r.vec, r.combo) for pk, r in fast.rows.items()}
+                == {pk: (r.vec, r.combo) for pk, r in ref.rows.items()})
+        for _ in range(5):
+            probe = {}
+            for other in rng.sample(inserted, min(3, len(inserted))):
+                add_scaled(probe, other, rng.randint(-2, 2))
+            if rng.random() < 0.3:
+                acc(probe, rng.randrange(nkeys), 1)
+            assert fast.express(probe) == ref.express(probe)
+    # the rows were not always built in sorted pivot order
+    assert order_differed
 
 
 def test_echelon_express():
