@@ -62,7 +62,9 @@ def words_by_degree(A, max_weight, max_degree):
     prefix whose degree already exceeds max_degree is dropped with all its
     extensions.  Cached on the model per max_weight and rebuilt only when
     a caller asks for a higher max_degree, so the table returned may also
-    hold buckets above max_degree.
+    hold buckets above max_degree.  The window routines (bar_homology,
+    hochschild_homology and their d^2 checks) assemble their top degree
+    first, so one table serves the whole window.
     """
     cache = A._cache.setdefault("words_by_degree", {})
     hit = cache.get(max_weight)
@@ -146,7 +148,7 @@ def bar_homology(A, degree_range, max_weight):
     provably complete at this weight.
     """
     lo, hi = degree_range
-    slices = {n: bar_slice(A, n, max_weight) for n in range(lo - 1, hi + 1)}
+    slices = {n: bar_slice(A, n, max_weight) for n in range(hi, lo - 2, -1)}
     out = {}
     for n in range(lo, hi + 1):
         out[n] = homology(slices[n - 1].d_columns, slices[n].d_columns)
@@ -157,7 +159,8 @@ def bar_homology(A, degree_range, max_weight):
 def bar_d_squared_zero(A, max_weight, degree_range):
     """Compose the boundary with itself over a window; True when zero."""
     lo, hi = degree_range
-    slices = {n: bar_slice(A, n, max_weight) for n in range(lo, hi + 2)}
+    slices = {n: bar_slice(A, n, max_weight)
+              for n in range(hi + 1, lo - 1, -1)}
     for n in range(lo, hi + 1):
         square = compose_columns(slices[n + 1].d_columns,
                                  slices[n].d_columns)

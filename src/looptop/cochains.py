@@ -287,7 +287,7 @@ def hochschild_homology(A, variant, degree_range, weight_cutoff):
     degree, so boundaries in degree n arrive from degree n + 1)."""
     lo, hi = degree_range
     slices = {n: assemble_complex(A, variant, n, weight_cutoff)
-              for n in range(lo, hi + 2)}
+              for n in range(hi + 1, lo - 1, -1)}
     out = {}
     for n in range(lo, hi + 1):
         out[n] = homology(slices[n + 1].delta_columns, slices[n].delta_columns)
@@ -303,7 +303,7 @@ def delta_squared_zero(A, variant, degree_range, weight_cutoff):
     """
     lo, hi = degree_range
     slices = {n: assemble_complex(A, variant, n, weight_cutoff)
-              for n in range(lo, hi + 2)}
+              for n in range(hi + 1, lo - 1, -1)}
     for n in range(lo, hi + 1):
         square = compose_columns(slices[n].delta_columns,
                                  slices[n + 1].delta_columns)

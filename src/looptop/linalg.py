@@ -81,7 +81,7 @@ class _Row:
 
     def __init__(self, vec, combo):
         self.vec = vec      # integer vector, content 1, pivot coeff > 0
-        self.combo = combo  # vec == sum combo[tag] * inserted-vector[tag]
+        self.combo = combo  # vec == sum combo[tag]*inserted[tag] mod untracked
 
 
 def _normalized(vec, combo):
@@ -102,11 +102,19 @@ class Echelon:
     Vectors are inserted one at a time.  Rows are kept fully reduced (no row
     meets another row's pivot key), and each row remembers how it arises from
     the inserted generators, so dependencies and solutions fall out of the
-    same reduction.
+    same reduction.  A generator inserted with tag None joins the span but
+    is not tracked: no combo mentions it, so every combo (and every answer
+    of insert, reduce and express) is exact only modulo the span of the
+    untracked generators.  The rows themselves do not depend on tags.
+
+    holders maps each key that is not a pivot to the pivots of the rows
+    holding it (an insertion-ordered set: pivot -> None), so a new pivot
+    is back-substituted only into the rows that meet it.
     """
 
     def __init__(self):
         self.rows = {}  # pivot key -> _Row
+        self.holders = {}  # non-pivot key -> {pivot: None}
 
     @property
     def rank(self):
@@ -155,10 +163,11 @@ class Echelon:
         return v, combo, scale
 
     def insert(self, vec, tag):
-        """Insert vec as generator `tag`.
+        """Insert vec as generator `tag` (None: untracked).
 
         Returns None when vec enlarges the span; otherwise returns vec's
-        expression over the previously inserted generators, as a dict.
+        expression over the previously inserted tracked generators, as a
+        dict.
         """
         v, combo, scale = self.reduce(vec)
         if not v:
@@ -167,17 +176,29 @@ class Echelon:
         sign = 1 if v[k] > 0 else -1
         row_vec = {kk: sign * x for kk, x in v.items()}
         row_combo = {t: -sign * x for t, x in combo.items() if x}
-        row_combo[tag] = row_combo.get(tag, 0) + sign * scale
+        if tag is not None:
+            row_combo[tag] = row_combo.get(tag, 0) + sign * scale
         row_vec, row_combo = _normalized(row_vec, row_combo)
         new = _Row(row_vec, row_combo)
         p = new.vec[k]
+        holders = self.holders
+        for kk in new.vec:
+            if kk != k:
+                holders.setdefault(kk, {})[k] = None
         # each update reads only that row and the new one, so any order
-        # gives the same rows
-        for row in self.rows.values():
-            c = row.vec.get(k, 0)
-            if not c:
-                continue
+        # gives the same rows; it changes the row's support only on the
+        # new row's keys, each of which the new row keeps held
+        for pk in holders.pop(k, ()):
+            row = self.rows[pk]
+            c = row.vec[k]
             merged = vec_combine(row.vec, p, new.vec, -c)
+            for kk in new.vec:
+                if kk == k:
+                    continue
+                if kk not in merged:
+                    del holders[kk][pk]
+                elif kk not in row.vec:
+                    holders[kk][pk] = None
             mcombo = add_scaled({t: p * x for t, x in row.combo.items()},
                                 new.combo, -c)
             row.vec, row.combo = _normalized(merged, mcombo)
@@ -199,7 +220,7 @@ class Echelon:
 def column_rank(columns):
     ech = Echelon()
     for k in sorted(columns):
-        ech.insert(columns[k], k)
+        ech.insert(columns[k], None)
     return ech.rank
 
 
@@ -207,18 +228,26 @@ def kernel_basis(columns):
     """Deterministic basis of the null space of a columns map.
 
     Each kernel vector has coefficient 1 on one domain key and support only
-    on earlier keys besides it.
+    on earlier keys besides it: one vector per non-pivot column f of the
+    reduced row echelon form of the matrix, read off the rows of its
+    transpose (inserted untracked) that hold f.
     """
+    keys = sorted(columns)
+    transpose = {}
+    for k in keys:
+        for i, x in columns[k].items():
+            transpose.setdefault(i, {})[k] = x
     ech = Echelon()
+    for row in transpose.values():
+        ech.insert(row, None)
     out = []
-    for k in sorted(columns):
-        expr = ech.insert(columns[k], k)
-        if expr is None:
+    for f in keys:
+        if f in ech.rows:
             continue
-        vec = {k: 1}
-        for t, c in expr.items():
-            if c:
-                vec[t] = -c
+        vec = {f: 1}
+        for pk in sorted(ech.holders.get(f, ())):
+            r = ech.rows[pk].vec
+            vec[pk] = _div(-r[f], r[pk])
         out.append(vec)
     return out
 
@@ -226,8 +255,9 @@ def kernel_basis(columns):
 class SubquotientBasis:
     """Cycles modulo boundaries of one slice, with chosen representatives.
 
-    echelon spans the boundaries (tagged ("b", j)) and the
-    representatives (tagged ("c", i)); nothing else.  express() writes a
+    echelon spans the boundaries (untracked, tag None) and the
+    representatives (tagged by their index i); nothing else, so its
+    combos are exact modulo the boundary space.  express() writes a
     vector as rep coefficients modulo the boundary space, keyed by
     ascending rep index; the answer is None when the vector is not even a
     cycle (more precisely, not in span(reps) + boundaries, which for
@@ -251,8 +281,7 @@ class SubquotientBasis:
         v, combo, scale = self.echelon.reduce(vec)
         if v:
             return None
-        return {i: _div(x, scale) for i, x in sorted(
-            (t[1], x) for t, x in combo.items() if t[0] == "c")}
+        return {i: _div(x, scale) for i, x in sorted(combo.items())}
 
     def is_boundary(self, vec):
         expr = self.express(vec)
@@ -280,14 +309,13 @@ def homology(boundary_in, boundary_out):
 
     ech = Echelon()
     for k in sorted(boundary_in):
-        col = boundary_in[k]
-        if col:
-            ech.insert(col, ("b", ech.rank))
+        if boundary_in[k]:
+            ech.insert(boundary_in[k], None)
     boundary_rank = ech.rank
 
     reps = []
     for cyc in cycles:
-        if ech.insert(cyc, ("c", len(reps))) is None:
+        if ech.insert(cyc, len(reps)) is None:
             reps.append(cyc)
 
     return SubquotientBasis(len(cycles), boundary_rank, reps, ech)

@@ -240,6 +240,30 @@ def test_word_tables_stay_small_on_ring(monkeypatch):
     assert 0 < built <= 10_000, built
 
 
+
+def test_each_window_builds_one_word_table(monkeypatch):
+    """Every window routine assembles its top degree first, so its first
+    words_by_degree call asks for the highest bound and every later call
+    reads that one cached table."""
+    tables = {}
+
+    def counted(*args):
+        table = words_by_degree(*args)
+        tables[id(table)] = table
+        return table
+
+    for owner in (bar, cochains):
+        monkeypatch.setattr(owner, "words_by_degree", counted)
+    runs = (lambda A: cochains.hochschild_homology(A, "to_A", (-3, 8), 9),
+            lambda A: cochains.hochschild_homology(A, "to_dual", (0, 6), 9),
+            lambda A: cochains.delta_squared_zero(A, "to_A", (-3, 8), 9),
+            lambda A: bar_homology(A, (0, 12), 9),
+            lambda A: bar_d_squared_zero(A, 9, (0, 12)))
+    for run in runs:
+        tables.clear()
+        run(builtin_model("acyclic_extension:sphere:3"))
+        assert len(tables) == 1
+
 def test_bar_slice_columns_shape():
     A = model("sphere:3")
     slc = bar_slice(A, 4, 4)

@@ -275,3 +275,122 @@ def test_homology_express_recovers_rep_coefficients():
         got = h.express(vec)
         assert got == {i: c for i, c in enumerate(coeffs) if c}
         assert list(got) == sorted(got)
+
+
+def _random_insert_sequence(rng, nkeys, count):
+    """Seeded vectors over keys 0..nkeys-1: Fraction entries, zero
+    vectors, and combinations of earlier vectors (dependent ones)."""
+    seq = []
+    for _ in range(count):
+        r = rng.random()
+        if r < 0.1:
+            vec = {}
+        elif r < 0.35 and seq:
+            vec = {}
+            for other in rng.sample(seq, min(2, len(seq))):
+                add_scaled(vec, other, rng.choice([1, -2, Fraction(1, 3)]))
+        else:
+            vec = {k: c for k in rng.sample(range(nkeys),
+                                            rng.randint(1, nkeys))
+                   if (c := rng.choice([0, 1, -1, 3, Fraction(-2, 5)]))}
+        seq.append(vec)
+    return seq
+
+
+def test_echelon_holders_match_rows():
+    """After every insert, tracked or not, holders[key] is exactly the set
+    of pivots whose row holds key, for every key that is not a pivot, with
+    no empty or stale entries."""
+    rng = random.Random(47)
+    for trial in range(80):
+        nkeys = rng.randint(2, 10)
+        ech = Echelon()
+        for j, vec in enumerate(_random_insert_sequence(rng, nkeys, 14)):
+            ech.insert(dict(vec), j if rng.random() < 0.5 else None)
+            want = {}
+            for pk, row in ech.rows.items():
+                for key in row.vec:
+                    if key != pk:
+                        want.setdefault(key, set()).add(pk)
+            got = {key: set(pks) for key, pks in ech.holders.items()}
+            assert got == want, (trial, j)
+            assert not set(ech.holders) & set(ech.rows)
+
+
+def _kernel_by_combos(columns):
+    """Reference kernel: insert the columns in sorted key order, each
+    tracked by its key, and turn every dependency into a kernel vector."""
+    ech = Echelon()
+    out = []
+    for k in sorted(columns):
+        expr = ech.insert(columns[k], k)
+        if expr is not None:
+            vec = {k: 1}
+            for t, c in expr.items():
+                vec[t] = -c
+            out.append(vec)
+    return out
+
+
+def _random_columns(rng):
+    ncols, nrows = rng.randint(1, 9), rng.randint(1, 7)
+    cols = {}
+    for j, vec in enumerate(_random_insert_sequence(rng, nrows, ncols)):
+        cols[("col", j)] = {("row", k): c for k, c in vec.items()}
+    return cols
+
+
+def test_kernel_basis_matches_combo_reference():
+    """kernel_basis, read off the transpose's echelon, equals the
+    combo-tracking reference on seeded random maps with zero and dependent
+    columns."""
+    rng = random.Random(53)
+    for trial in range(400):
+        cols = _random_columns(rng)
+        assert kernel_basis(cols) == _kernel_by_combos(cols), trial
+
+
+def test_homology_matches_tagged_reference():
+    """homology() inserts its boundaries untracked; a reference echelon
+    that tags every boundary and every representative gives the same
+    representatives and the same express and is_boundary answers."""
+    rng = random.Random(59)
+    for trial in range(60):
+        d_out = _random_columns(rng)
+        kern = _kernel_by_combos(d_out)
+        d_in = {}
+        for j in range(rng.randint(0, 4)):
+            col = {}
+            for z in rng.sample(kern, min(2, len(kern))):
+                add_scaled(col, z, rng.choice([1, -2, Fraction(1, 2)]))
+            d_in[j] = col
+        h = homology(d_in, d_out)
+
+        ref = Echelon()
+        for j in sorted(d_in):
+            if d_in[j]:
+                ref.insert(d_in[j], ("b", ref.rank))
+        reps = []
+        for cyc in kern:
+            if ref.insert(cyc, ("c", len(reps))) is None:
+                reps.append(cyc)
+        assert h.representatives == reps, trial
+
+        def ref_express(vec):
+            v, combo, scale = ref.reduce(vec)
+            if v:
+                return None
+            return {t[1]: _div(x, scale) for t, x in sorted(combo.items())
+                    if t[0] == "c"}
+
+        for _ in range(6):
+            probe = apply_columns(d_in, {j: rng.randint(-2, 2)
+                                         for j in d_in})
+            if rng.random() < 0.6:
+                for z in rng.sample(kern, min(2, len(kern))):
+                    add_scaled(probe, z, rng.randint(-2, 2))
+            if rng.random() < 0.3:
+                acc(probe, rng.choice(list(d_out)), 1)
+            want = ref_express(probe)
+            assert h.express(probe) == want, trial
+            assert h.is_boundary(probe) == (want == {}), trial
