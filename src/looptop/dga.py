@@ -248,20 +248,22 @@ def build_dga(doc):
         if img:
             product[(i, j)] = img
 
-    orientation = None
-    if doc.get("orientation"):
-        if not isinstance(doc["orientation"], dict):
-            raise ParseError("orientation must be an object")
-        orientation = {}
-        for name, c in doc["orientation"].items():
-            c = _coeff(c)
-            if c:
-                orientation[resolve(name)] = c
+    orientation = doc.get("orientation")
+    if orientation is not None:
+        if not isinstance(orientation, dict):
+            raise ParseError("orientation must be an object or null")
+        orientation = {resolve(name): c for name, raw in orientation.items()
+                       if (c := _coeff(raw))}
+    commutative = doc.get("commutative", True)
+    if not isinstance(commutative, bool):
+        raise ParseError(f"commutative must be true or false, "
+                         f"not {commutative!r}")
+    label = doc.get("name", "dga")
+    if not isinstance(label, str):
+        raise ParseError(f"name must be a string, not {label!r}")
 
     return DGA(names, degrees, unit, product, differential, top_degree,
-               orientation=orientation,
-               commutative=bool(doc.get("commutative", True)),
-               label=str(doc.get("name", "dga")))
+               orientation=orientation, commutative=commutative, label=label)
 
 
 def _entries(doc, key, fields):

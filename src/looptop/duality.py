@@ -13,7 +13,7 @@ one), and the bracket of two degree-0 dual classes is
 
 import itertools
 
-from .linalg import Echelon, acc, homology
+from .linalg import acc, homology, kernel_basis
 # words_by_degree and assemble_complex are unused here, but
 # bench/tracing.py wraps them under this module and its restore test reads
 # them back
@@ -43,9 +43,10 @@ def _pairing(A):
     forward[a] = {b: orient(b·a)} over b of the complementary degree, in
     basis order.  inverse[b] = {a: coeff} inverts it columnwise:
     x[a] = sum_b inverse[b][a] * t[b] solves sum_a x[a] forward[a] = t.
-    The table is square over the basis and block-diagonal by degree, so
-    one echelon serves every degree, and full column rank already means
-    every {b: 1} is hit; inverse is None otherwise.
+    Both come from the kernel of [forward | -1]: when forward is
+    invertible, the kernel vector led by column (1, b) carries inverse[b]
+    on the columns (0, a); a kernel vector led by some (0, a) means it is
+    not, and inverse is None.
     """
     table = A._cache.get("pairing")
     if table is None:
@@ -53,10 +54,14 @@ def _pairing(A):
         forward = {a: {b: v for b in A.basis_of_degree(d - A.degrees[a])
                        if (v := A.orient(A.mul(b, a)))}
                    for a in range(A.dim)}
-        ech = Echelon()
+        columns = {(0, a): col for a, col in forward.items()}
+        columns.update({(1, b): {b: -1} for b in range(A.dim)})
+        kernel = kernel_basis(columns)
         inverse = None
-        if all(ech.insert(forward[a], a) is None for a in range(A.dim)):
-            inverse = {b: ech.express({b: 1}) for b in range(A.dim)}
+        if all(max(z)[0] == 1 for z in kernel):
+            # then column (1, b) leads kernel[b]
+            inverse = {b: {a: v for (side, a), v in z.items() if side == 0}
+                       for b, z in enumerate(kernel)}
         table = A._cache["pairing"] = (forward, inverse)
     return table
 
@@ -281,8 +286,6 @@ def e1_term(A, p):
         for b in range(A.dim):
             n = eps + A.degrees[b]
             basis_by_degree.setdefault(n, []).append((w, b))
-    for n in basis_by_degree:
-        basis_by_degree[n].sort(key=lambda key: (key[0], key[1]))
     degrees = sorted(basis_by_degree)
     # at cutoff p the weight-raising terms drop out, leaving the value
     # differential and the letterwise differential of the quotient

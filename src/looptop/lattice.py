@@ -13,6 +13,7 @@ from fractions import Fraction
 import itertools
 import math
 
+from . import cochains
 from .cochains import DualCochain
 from .dga import builtin_model
 from .linalg import acc, add_scaled
@@ -191,11 +192,6 @@ def compare_pi1_dimensions(p, weight_cutoff=None, A=None):
     of the augmentation ideal); a smaller cutoff cannot see all of the
     quotient and raises TruncationError.
     """
-    # Imported here, not at the top, so the name is read from cochains at
-    # call time: a wrapper installed on cochains.hochschild_homology (as
-    # the benchmark's tracer and size probe do) then sees this call.
-    from .cochains import hochschild_homology
-
     if p < 1:
         raise TruncationError("p must be at least 1")
     if weight_cutoff is None:
@@ -206,6 +202,6 @@ def compare_pi1_dimensions(p, weight_cutoff=None, A=None):
             f"got {weight_cutoff}")
     if A is None:
         A = builtin_model("torus:2")
-    pres = hochschild_homology(A, "to_dual", (0, 0), weight_cutoff)
+    pres = cochains.hochschild_homology(A, "to_dual", (0, 0), weight_cutoff)
     dim = len(jadic_basis(p))
     return Pi1Report(p, weight_cutoff, dim, pres[0].betti)

@@ -7,8 +7,10 @@ deterministic: pivots follow the sorted order of keys, so ranks, kernels and
 homology representatives come out identical from run to run.
 
 Arithmetic is fraction-free where possible: stored rows are integer vectors
-with content 1 and positive pivot, and rationals only enter through the
-bookkeeping that expresses rows in terms of the inserted generators.
+with content 1 and positive pivot, and rationals only enter through kernel
+vectors and the scale that Echelon.reduce divides out.  Homology works in
+the coordinates of the cycle basis that kernel_basis returns, so no
+elimination tracks how its rows arise from the inserted vectors.
 """
 
 from fractions import Fraction
@@ -77,35 +79,25 @@ def compose_columns(outer, inner):
 
 
 class _Row:
-    __slots__ = ("vec", "combo")
+    __slots__ = ("vec",)
+    combo = {}  # always empty; bench/tracing.py still counts row.combo
 
-    def __init__(self, vec, combo):
-        self.vec = vec      # integer vector, content 1, pivot coeff > 0
-        self.combo = combo  # vec == sum combo[tag]*inserted[tag] mod untracked
+    def __init__(self, vec):
+        self.vec = vec  # integer vector, content 1, pivot coeff > 0
 
 
-def _normalized(vec, combo):
+def _content_one(vec):
     g = 0
     for x in vec.values():
         g = gcd(g, x)
-    if g > 1:
-        vec = {k: x // g for k, x in vec.items()}
-        combo = {t: _div(x, g) for t, x in combo.items() if x}
-    else:
-        combo = {t: x for t, x in combo.items() if x}
-    return vec, combo
+    return {k: x // g for k, x in vec.items()} if g > 1 else vec
 
 
 class Echelon:
-    """Incremental reduced row echelon form with expression tracking.
+    """Incremental reduced row echelon form of the span of inserted vectors.
 
     Vectors are inserted one at a time.  Rows are kept fully reduced (no row
-    meets another row's pivot key), and each row remembers how it arises from
-    the inserted generators, so dependencies and solutions fall out of the
-    same reduction.  A generator inserted with tag None joins the span but
-    is not tracked: no combo mentions it, so every combo (and every answer
-    of insert, reduce and express) is exact only modulo the span of the
-    untracked generators.  The rows themselves do not depend on tags.
+    meets another row's pivot key); each row's pivot is its smallest key.
 
     holders maps each key that is not a pivot to the pivots of the rows
     holding it (an insertion-ordered set: pivot -> None), so a new pivot
@@ -136,11 +128,10 @@ class Echelon:
     def reduce(self, vec):
         """Reduce vec against the rows.
 
-        Returns (residual, combo, scale) with residual integer-valued and
-        residual == scale*vec - sum(combo[tag] * inserted[tag]).
+        Returns (residual, scale): residual is an integer vector with no
+        entry on a pivot key, and scale*vec - residual lies in the span.
         """
         v, scale = self._cleared(vec)
-        combo = {}
         for k in sorted(v):
             row = self.rows.get(k)
             if row is None:
@@ -150,8 +141,6 @@ class Echelon:
                 continue
             p = row.vec[k]
             v = vec_combine(v, p, row.vec, -c)
-            combo = add_scaled({t: p * x for t, x in combo.items()},
-                               row.combo, c)
             scale = scale * p
         g = 0
         for x in v.values():
@@ -159,27 +148,16 @@ class Echelon:
         if g > 1:
             v = {k: x // g for k, x in v.items()}
             scale = _div(scale, g)
-            combo = {t: _div(x, g) for t, x in combo.items()}
-        return v, combo, scale
+        return v, scale
 
-    def insert(self, vec, tag):
-        """Insert vec as generator `tag` (None: untracked).
-
-        Returns None when vec enlarges the span; otherwise returns vec's
-        expression over the previously inserted tracked generators, as a
-        dict.
-        """
-        v, combo, scale = self.reduce(vec)
+    def insert(self, vec):
+        """Add vec to the span; returns whether the span grew."""
+        v = self.reduce(vec)[0]
         if not v:
-            return {t: _div(x, scale) for t, x in combo.items() if x}
+            return False
         k = min(v)
         sign = 1 if v[k] > 0 else -1
-        row_vec = {kk: sign * x for kk, x in v.items()}
-        row_combo = {t: -sign * x for t, x in combo.items() if x}
-        if tag is not None:
-            row_combo[tag] = row_combo.get(tag, 0) + sign * scale
-        row_vec, row_combo = _normalized(row_vec, row_combo)
-        new = _Row(row_vec, row_combo)
+        new = _Row({kk: sign * x for kk, x in v.items()})
         p = new.vec[k]
         holders = self.holders
         for kk in new.vec:
@@ -199,38 +177,26 @@ class Echelon:
                     del holders[kk][pk]
                 elif kk not in row.vec:
                     holders[kk][pk] = None
-            mcombo = add_scaled({t: p * x for t, x in row.combo.items()},
-                                new.combo, -c)
-            row.vec, row.combo = _normalized(merged, mcombo)
+            row.vec = _content_one(merged)
         self.rows[k] = new
-        return None
-
-    def express(self, vec):
-        """vec over the inserted generators, or None outside their span.
-
-        Coefficients land only on generators that were independent when
-        inserted, so for a basis of the span the answer is unique.
-        """
-        v, combo, scale = self.reduce(vec)
-        if v:
-            return None
-        return {t: y for t, x in combo.items() if (y := _div(x, scale))}
+        return True
 
 
 def column_rank(columns):
     ech = Echelon()
     for k in sorted(columns):
-        ech.insert(columns[k], None)
+        ech.insert(columns[k])
     return ech.rank
 
 
 def kernel_basis(columns):
     """Deterministic basis of the null space of a columns map.
 
-    Each kernel vector has coefficient 1 on one domain key and support only
-    on earlier keys besides it: one vector per non-pivot column f of the
-    reduced row echelon form of the matrix, read off the rows of its
-    transpose (inserted untracked) that hold f.
+    One vector z_f per non-pivot column f of the reduced row echelon form
+    of the matrix, in ascending order of f: coefficient 1 on f, no other
+    non-pivot key, and support otherwise on earlier (pivot) keys only.
+    The vectors are read off the rows of the transpose's echelon that
+    hold f.
     """
     keys = sorted(columns)
     transpose = {}
@@ -239,7 +205,7 @@ def kernel_basis(columns):
             transpose.setdefault(i, {})[k] = x
     ech = Echelon()
     for row in transpose.values():
-        ech.insert(row, None)
+        ech.insert(row)
     out = []
     for f in keys:
         if f in ech.rows:
@@ -255,33 +221,59 @@ def kernel_basis(columns):
 class SubquotientBasis:
     """Cycles modulo boundaries of one slice, with chosen representatives.
 
-    echelon spans the boundaries (untracked, tag None) and the
-    representatives (tagged by their index i); nothing else, so its
-    combos are exact modulo the boundary space.  express() writes a
-    vector as rep coefficients modulo the boundary space, keyed by
-    ascending rep index; the answer is None when the vector is not even a
-    cycle (more precisely, not in span(reps) + boundaries, which for
-    cycles is the same thing).  exact is False only on a weight-truncated
-    slice, where bar_homology and hochschild_homology set it.
+    cycles is kernel_basis of the outgoing map: z_j has coefficient 1 on
+    its largest key f_j and no other f, so a cycle v equals
+    sum_j v[f_j] z_j and its entries on the keys f_j are its coordinates.
+    echelon spans the boundaries in those coordinates, cycle j keyed by
+    -j, so each row's pivot is its largest cycle; the representatives are
+    the cycles that are no row's pivot.  express() writes a cycle as rep
+    coefficients modulo the boundary space, keyed by ascending rep index,
+    and answers None for a vector that is not a cycle of the slice.
+    exact is False only on a weight-truncated slice, where bar_homology
+    and hochschild_homology set it.
     """
 
     exact = True
 
-    def __init__(self, cycle_rank, boundary_rank, representatives, echelon):
-        self.cycle_rank = cycle_rank
-        self.boundary_rank = boundary_rank
-        self.representatives = representatives
-        self.echelon = echelon
+    def __init__(self, cycles, boundaries):
+        self.cycles = cycles
+        self._coordinate = index = {max(z): j for j, z in enumerate(cycles)}
+        self.echelon = Echelon()
+        for b in boundaries:
+            self.echelon.insert({-index[k]: c for k, c in b.items()
+                                 if k in index})
+        rep_cycles = [j for j in range(len(cycles))
+                      if -j not in self.echelon.rows]
+        self.representatives = [cycles[j] for j in rep_cycles]
+        self._rep_index = {-j: i for i, j in enumerate(rep_cycles)}
+
+    @property
+    def cycle_rank(self):
+        return len(self.cycles)
+
+    @property
+    def boundary_rank(self):
+        return self.echelon.rank
 
     @property
     def betti(self):
         return len(self.representatives)
 
     def express(self, vec):
-        v, combo, scale = self.echelon.reduce(vec)
-        if v:
-            return None
-        return {i: _div(x, scale) for i, x in sorted(combo.items())}
+        index, coords, rest = self._coordinate, {}, dict(vec)
+        for k, c in vec.items():
+            j = index.get(k)
+            if j is not None and c:
+                coords[-j] = c
+                add_scaled(rest, self.cycles[j], -c)
+        if any(rest.values()):
+            return None  # not a cycle: vec != sum_j vec[f_j] z_j
+        if not coords:
+            return {}
+        residual, scale = self.echelon.reduce(coords)
+        rep = self._rep_index
+        return {rep[j]: _div(x, scale)
+                for j, x in sorted(residual.items(), reverse=True)}
 
     def is_boundary(self, vec):
         expr = self.express(vec)
@@ -294,28 +286,22 @@ def homology(boundary_in, boundary_out):
     boundary_in gives the map landing in the slice (columns indexed by the
     neighbouring slice's basis); boundary_out gives the map leaving it,
     with a column, possibly empty, for every basis key of the slice.
-    Raises CompositionError unless the composite vanishes.
+    Raises CompositionError unless every boundary lies in the slice and
+    the composite vanishes.
 
-    Two eliminations: one for the cycles, and one echelon holding the
-    boundaries and then the cycles, whose independent cycles become the
-    representatives.  That echelon answers every later express() query.
+    One elimination finds the cycles (kernel_basis); a second, of the
+    boundaries in cycle coordinates, picks the representatives and
+    answers every later express() query.
     """
     for k in sorted(boundary_in):
-        img = apply_columns(boundary_out, boundary_in[k])
-        if img:
+        col = boundary_in[k]
+        outside = next((i for i in col if i not in boundary_out), None)
+        if outside is not None:
+            raise CompositionError(
+                f"boundary of {k!r} has an entry on {outside!r}, "
+                f"outside the slice")
+        if apply_columns(boundary_out, col):
             raise CompositionError(f"composite differential nonzero on {k!r}")
 
-    cycles = kernel_basis(boundary_out)
-
-    ech = Echelon()
-    for k in sorted(boundary_in):
-        if boundary_in[k]:
-            ech.insert(boundary_in[k], None)
-    boundary_rank = ech.rank
-
-    reps = []
-    for cyc in cycles:
-        if ech.insert(cyc, len(reps)) is None:
-            reps.append(cyc)
-
-    return SubquotientBasis(len(cycles), boundary_rank, reps, ech)
+    return SubquotientBasis(kernel_basis(boundary_out),
+                            [boundary_in[k] for k in sorted(boundary_in)])

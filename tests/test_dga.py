@@ -161,7 +161,16 @@ def test_build_fuzz_raises_only_model_errors():
             ("differential", "abc"),
             ("differential", [{"from": ["x"], "to": {}}]),
             ("unit", {"name": "1"}),
-            ("top_degree", True)]:
+            ("top_degree", True),
+            ("commutative", "false"),
+            ("commutative", None),
+            ("commutative", 0),
+            ("name", ["a", 1]),
+            ("name", None),
+            ("orientation", []),
+            ("orientation", 0),
+            ("orientation", ""),
+            ("orientation", False)]:
         doc = dga_to_doc(model("sphere:2"))
         doc[key] = value
         with pytest.raises(ParseError):
@@ -225,6 +234,28 @@ def test_orientation_pairing_nondegenerate():
                 "surface:1", "surface:2", "torus:2"):
         assert "orientation/nondegenerate" not in validate_dga(
             model(mid)).rules, mid
+
+
+def test_orientation_pairing_degenerate_is_reported():
+    """x·x = w and y pairs with nothing: the degree-(2,2) homology
+    pairing is singular, and that is the only violation."""
+    names = ["1", "x", "y", "w"]
+    doc = {
+        "name": "degenerate-pairing",
+        "basis": [{"name": n, "degree": q}
+                  for n, q in zip(names, (0, 2, 2, 4))],
+        "unit": "1",
+        "products": [{"left": "1", "right": n, "result": {n: "1"}}
+                     for n in names] +
+                    [{"left": n, "right": "1", "result": {n: "1"}}
+                     for n in names[1:]] +
+                    [{"left": "x", "right": "x", "result": {"w": "1"}}],
+        "top_degree": 4,
+        "orientation": {"w": "1"},
+    }
+    assert validate_dga(build_dga(doc)).violations == [
+        ("orientation/nondegenerate", (2,),
+         "homology pairing degrees (2,2) singular")]
 
 
 def test_acyclic_extension_structure():

@@ -8,7 +8,7 @@ import pytest
 from looptop.linalg import (CompositionError, Echelon, acc, add_scaled,
                             apply_columns, column_rank, compose_columns,
                             homology, kernel_basis, vec_combine,
-                            _div, _normalized, _Row)
+                            _content_one, _Row)
 
 
 def test_vec_helpers_drop_zeros():
@@ -41,41 +41,45 @@ def test_apply_and_compose_columns():
 
 
 def test_echelon_reduce_identity():
-    """residual == scale*vec - sum(combo[tag]*inserted[tag]), always."""
+    """scale*vec - residual lies in the span, and residual is an integer
+    vector with no entry on a pivot key, always."""
     rng = random.Random(0)
     keys = list(range(6))
-    inserted = {}
     ech = Echelon()
-    for tag in range(8):
+    for _ in range(8):
         vec = {}
         for k in rng.sample(keys, 3):
             c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             if c:
                 vec[k] = c
-        inserted[tag] = vec
-        ech.insert(vec, tag)
+        ech.insert(vec)
         probe = {k: rng.randint(-3, 3) for k in rng.sample(keys, 4)}
         probe = {k: c for k, c in probe.items() if c}
-        residual, combo, scale = ech.reduce(probe)
-        recon = vec_combine(probe, scale, {}, 0)
-        for t, c in combo.items():
-            recon = vec_combine(recon, 1, inserted[t], -c)
-        assert recon == residual
+        residual, scale = ech.reduce(probe)
+        assert scale
+        assert all(isinstance(x, int) for x in residual.values())
+        assert not set(residual) & set(ech.rows)
+        in_span = vec_combine(probe, scale, residual, -1)
+        assert ech.reduce(in_span)[0] == {}
 
 
 def test_echelon_insert_reports_dependencies():
+    """insert answers whether the span grew; a dependent vector leaves
+    the rows as they were."""
     ech = Echelon()
-    assert ech.insert({"a": 1, "b": 1}, "g0") is None
-    assert ech.insert({"b": 2}, "g1") is None
-    expr = ech.insert({"a": 3, "b": 5}, "g2")
-    assert expr == {"g0": 3, "g1": 1}
+    assert ech.insert({"a": 1, "b": 1}) is True
+    assert ech.insert({"b": 2}) is True
+    rows = {pk: dict(row.vec) for pk, row in ech.rows.items()}
+    assert ech.insert({"a": 3, "b": 5}) is False
+    assert ech.insert({}) is False
+    assert {pk: row.vec for pk, row in ech.rows.items()} == rows
     assert ech.rank == 2
 
 
 def test_echelon_rows_stay_integer_content_one():
     ech = Echelon()
-    ech.insert({"a": Fraction(2, 3), "b": Fraction(4, 3)}, 0)
-    ech.insert({"b": Fraction(1, 2), "c": 1}, 1)
+    ech.insert({"a": Fraction(2, 3), "b": Fraction(4, 3)})
+    ech.insert({"b": Fraction(1, 2), "c": 1})
     for row in ech.rows.values():
         assert all(isinstance(x, int) for x in row.vec.values())
 
@@ -83,42 +87,34 @@ def test_echelon_rows_stay_integer_content_one():
 def _echelon_of(columns):
     """Insert columns in sorted key order: (independent keys, rows)."""
     ech = Echelon()
-    pivots = tuple(k for k in sorted(columns)
-                   if ech.insert(columns[k], k) is None)
-    rows = {pk: (dict(row.vec), dict(row.combo))
-            for pk, row in ech.rows.items()}
+    pivots = tuple(k for k in sorted(columns) if ech.insert(columns[k]))
+    rows = {pk: dict(row.vec) for pk, row in ech.rows.items()}
     return pivots, rows
 
 
-def _insert_sorted_order(ech, vec, tag):
+def _insert_sorted_order(ech, vec):
     """Reference insert: back-substitutes into the rows in sorted pivot
     order, with its own loop over Echelon's row arithmetic."""
-    v, combo, scale = ech.reduce(vec)
+    v = ech.reduce(vec)[0]
     if not v:
-        return {t: _div(x, scale) for t, x in combo.items() if x}
+        return False
     k = min(v)
     sign = 1 if v[k] > 0 else -1
-    new_combo = {t: -sign * x for t, x in combo.items() if x}
-    new_combo[tag] = new_combo.get(tag, 0) + sign * scale
-    new = _Row(*_normalized({kk: sign * x for kk, x in v.items()},
-                            new_combo))
+    new = _Row({kk: sign * x for kk, x in v.items()})
     p = new.vec[k]
     for pk in sorted(ech.rows):
         row = ech.rows[pk]
         c = row.vec.get(k, 0)
         if c:
-            row.vec, row.combo = _normalized(
-                vec_combine(row.vec, p, new.vec, -c),
-                add_scaled({t: p * x for t, x in row.combo.items()},
-                           new.combo, -c))
+            row.vec = _content_one(vec_combine(row.vec, p, new.vec, -c))
     ech.rows[k] = new
-    return None
+    return True
 
 
 def test_echelon_rows_do_not_depend_on_update_order():
     """Echelon.insert updates its rows in insertion order; a reference
     that updates them in sorted pivot order gives the same rows, insert
-    answers and express answers on seeded random columns, dependent ones
+    answers and reduce answers on seeded random columns, dependent ones
     included."""
     rng = random.Random(31)
     order_differed = False
@@ -135,31 +131,20 @@ def test_echelon_rows_do_not_depend_on_update_order():
                                                 rng.randint(1, nkeys))
                        if (c := rng.randint(-4, 4))}
             inserted.append(vec)
-            got = fast.insert(dict(vec), j)
-            assert got == _insert_sorted_order(ref, dict(vec), j), trial
+            got = fast.insert(dict(vec))
+            assert got == _insert_sorted_order(ref, dict(vec)), trial
         order_differed |= list(fast.rows) != sorted(fast.rows)
-        assert ({pk: (r.vec, r.combo) for pk, r in fast.rows.items()}
-                == {pk: (r.vec, r.combo) for pk, r in ref.rows.items()})
+        assert ({pk: r.vec for pk, r in fast.rows.items()}
+                == {pk: r.vec for pk, r in ref.rows.items()})
         for _ in range(5):
             probe = {}
             for other in rng.sample(inserted, min(3, len(inserted))):
                 add_scaled(probe, other, rng.randint(-2, 2))
             if rng.random() < 0.3:
                 acc(probe, rng.randrange(nkeys), 1)
-            assert fast.express(probe) == ref.express(probe)
+            assert fast.reduce(probe) == ref.reduce(probe)
     # the rows were not always built in sorted pivot order
     assert order_differed
-
-
-def test_echelon_express():
-    ech = Echelon()
-    ech.insert({"x": 1, "y": 1}, "e0")
-    ech.insert({"y": 1, "z": 1}, "e1")
-    assert ech.rank == 2
-    got = ech.express({"x": 2, "y": 3, "z": 1})
-    assert got == {"e0": 2, "e1": 1}
-    assert ech.express({"x": 1}) is None
-    assert ech.express({"x": 1, "y": 2, "z": 1}) is not None
 
 
 def test_column_rank_and_echelon_rows():
@@ -168,11 +153,7 @@ def test_column_rank_and_echelon_rows():
     pivots, rows = _echelon_of(cols)
     assert len(rows) == 2
     assert pivots == (0, 2)
-    for vec, combo in rows.values():
-        recon = {}
-        for t, c in combo.items():
-            recon = vec_combine(recon, 1, cols[t], c)
-        assert recon == vec
+    assert rows == {"a": {"a": 1}, "b": {"b": 1}}
 
 
 def test_kernel_basis_members_map_to_zero():
@@ -194,17 +175,6 @@ def test_kernel_basis_members_map_to_zero():
         assert vec[max(vec)] == 1
 
 
-def test_echelon_express_solves_columns():
-    cols = {"u": {"a": 2}, "v": {"a": 1, "b": 1}}
-    ech = Echelon()
-    for k in sorted(cols):
-        ech.insert(cols[k], k)
-    sol = ech.express({"a": 3, "b": 1})
-    recon = apply_columns(cols, sol)
-    assert recon == {"a": 3, "b": 1}
-    assert ech.express({"c": 1}) is None
-
-
 def test_homology_circle():
     """Two vertices, two parallel edges: one loop, connected."""
     # boundary of edges: e0, e1 both go v0 -> v1
@@ -223,6 +193,15 @@ def test_homology_rejects_nonzero_composite():
     d_in = {"x": {"m": 1}}
     d_out = {"m": {"q": 1}}
     with pytest.raises(CompositionError):
+        homology(d_in, d_out)
+
+
+def test_homology_rejects_boundary_outside_slice():
+    """A boundary entry on a key with no column in boundary_out is not in
+    the slice; the composite alone would not see it."""
+    d_in = {"x": {"a": 1, "stray": 2}}
+    d_out = {"a": {}}
+    with pytest.raises(CompositionError, match="stray"):
         homology(d_in, d_out)
 
 
@@ -298,7 +277,7 @@ def _random_insert_sequence(rng, nkeys, count):
 
 
 def test_echelon_holders_match_rows():
-    """After every insert, tracked or not, holders[key] is exactly the set
+    """After every insert, holders[key] is exactly the set
     of pivots whose row holds key, for every key that is not a pivot, with
     no empty or stale entries."""
     rng = random.Random(47)
@@ -306,7 +285,7 @@ def test_echelon_holders_match_rows():
         nkeys = rng.randint(2, 10)
         ech = Echelon()
         for j, vec in enumerate(_random_insert_sequence(rng, nkeys, 14)):
-            ech.insert(dict(vec), j if rng.random() < 0.5 else None)
+            ech.insert(dict(vec))
             want = {}
             for pk, row in ech.rows.items():
                 for key in row.vec:
@@ -317,10 +296,46 @@ def test_echelon_holders_match_rows():
             assert not set(ech.holders) & set(ech.rows)
 
 
+class _TaggedEchelon:
+    """Reference elimination over Fractions that tracks how each row
+    arises from the tagged generators: row == sum combo[tag]*gen[tag]."""
+
+    def __init__(self):
+        self.rows = {}  # pivot -> (vec with pivot coeff 1, combo)
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def reduce(self, vec):
+        """(residual, combo): residual == vec - sum combo[tag]*gen[tag]."""
+        v = {k: Fraction(c) for k, c in vec.items() if c}
+        combo = {}
+        for pk in sorted(self.rows):
+            c = v.get(pk)
+            if c:
+                row, row_combo = self.rows[pk]
+                add_scaled(v, row, -c)
+                add_scaled(combo, row_combo, c)
+        return v, combo
+
+    def insert(self, vec, tag):
+        """None when vec enlarges the span, else its expression over the
+        tags inserted before."""
+        v, combo = self.reduce(vec)
+        if not v:
+            return combo
+        lead = v[min(v)]
+        combo = vec_combine({tag: 1}, 1, combo, -1)
+        self.rows[min(v)] = ({k: c / lead for k, c in v.items()},
+                             {t: c / lead for t, c in combo.items()})
+        return None
+
+
 def _kernel_by_combos(columns):
     """Reference kernel: insert the columns in sorted key order, each
     tracked by its key, and turn every dependency into a kernel vector."""
-    ech = Echelon()
+    ech = _TaggedEchelon()
     out = []
     for k in sorted(columns):
         expr = ech.insert(columns[k], k)
@@ -351,9 +366,9 @@ def test_kernel_basis_matches_combo_reference():
 
 
 def test_homology_matches_tagged_reference():
-    """homology() inserts its boundaries untracked; a reference echelon
-    that tags every boundary and every representative gives the same
-    representatives and the same express and is_boundary answers."""
+    """homology() works in cycle coordinates and tracks no combination; a
+    reference echelon that tags every boundary and every cycle gives the
+    same representatives and the same express and is_boundary answers."""
     rng = random.Random(59)
     for trial in range(60):
         d_out = _random_columns(rng)
@@ -366,7 +381,7 @@ def test_homology_matches_tagged_reference():
             d_in[j] = col
         h = homology(d_in, d_out)
 
-        ref = Echelon()
+        ref = _TaggedEchelon()
         for j in sorted(d_in):
             if d_in[j]:
                 ref.insert(d_in[j], ("b", ref.rank))
@@ -377,11 +392,10 @@ def test_homology_matches_tagged_reference():
         assert h.representatives == reps, trial
 
         def ref_express(vec):
-            v, combo, scale = ref.reduce(vec)
+            v, combo = ref.reduce(vec)
             if v:
                 return None
-            return {t[1]: _div(x, scale) for t, x in sorted(combo.items())
-                    if t[0] == "c"}
+            return {t[1]: x for t, x in sorted(combo.items()) if t[0] == "c"}
 
         for _ in range(6):
             probe = apply_columns(d_in, {j: rng.randint(-2, 2)
