@@ -12,14 +12,19 @@ from .linalg import acc, compose_columns, homology
 
 
 def bar_degree(A, word):
-    return sum(A.degrees[i] - 1 for i in word)
+    table = A.letter_degrees
+    n = 0
+    for i in word:
+        n += table[i]
+    return n
 
 
 def prefix_degrees(A, word):
     """eps[i] = bar degree of word[:i], for i = 0..len(word)."""
+    table = A.letter_degrees
     eps = [0]
     for i in word:
-        eps.append(eps[-1] + A.degrees[i] - 1)
+        eps.append(eps[-1] + table[i])
     return eps
 
 

@@ -11,7 +11,10 @@ word length, so truncating by a weight cutoff gives an honest subquotient
 complex.  Coboundaries are computed entrywise: for a basis cochain all
 output entries are enumerated directly from the model's transposed
 structure maps (co_d, co_split, co_left_mul), which keeps the large
-acceptance sweeps fast.
+acceptance sweeps fast.  delta_to_dual and duality.connes_B, which every
+bracket calls, memoise their basis columns on the model for its lifetime:
+A._cache["delta_dual"] keyed by (word, test index, word shorter than the
+cutoff) and A._cache["rotation"] keyed by word.
 """
 
 from .linalg import acc, add_scaled, compose_columns, homology
@@ -23,23 +26,16 @@ class GradingError(ValueError):
     """Entries of mixed total degree in one cochain."""
 
 
-def _entry_degree_to_A(A, word, a):
-    return bar_degree(A, word) - A.degrees[a]
-
-
-def _entry_degree_dual(A, word, b):
-    return bar_degree(A, word) + A.degrees[b]
-
-
 class _Cochain:
     variant = None
+    value_sign = None  # -1 to-A, +1 dual: the sign of |val| in entry degrees
 
     def __init__(self, A, entries, degree=None):
         clean = {}
         for (word, val), c in entries.items():
             if not c:
                 continue
-            n = self._entry_degree(A, word, val)
+            n = bar_degree(A, word) + self.value_sign * A.degrees[val]
             if degree is None:
                 degree = n
             elif n != degree:
@@ -49,9 +45,6 @@ class _Cochain:
             clean[(word, val)] = c
         self.entries = clean
         self.degree = 0 if degree is None else degree
-
-    def _entry_degree(self, A, word, val):
-        raise NotImplementedError
 
     @property
     def is_zero(self):
@@ -104,18 +97,14 @@ class Cochain(_Cochain):
     """Word -> algebra element assignments (the to-A flavour)."""
 
     variant = "to_A"
-
-    def _entry_degree(self, A, word, val):
-        return _entry_degree_to_A(A, word, val)
+    value_sign = -1
 
 
 class DualCochain(_Cochain):
     """Word -> functional assignments (the dual flavour)."""
 
     variant = "to_dual"
-
-    def _entry_degree(self, A, word, val):
-        return _entry_degree_dual(A, word, val)
+    value_sign = 1
 
 
 def unit_cochain(A):
@@ -187,11 +176,20 @@ def delta_to_A(A, phi, weight_cutoff):
 
 
 def delta_to_dual(A, phi, weight_cutoff):
-    """Coboundary of a dual cochain; degree drops by one."""
+    """Coboundary of a dual cochain; degree drops by one.
+
+    The column of each basis cochain (v, b) is memoised on the model
+    under "delta_dual", keyed by (v, b, len(v) < weight_cutoff): the
+    cutoff only decides whether the weight-raising terms are present.
+    """
+    memo = A._cache.setdefault("delta_dual", {})
     out = {}
     for (v, b), c in phi.entries.items():
-        for key, y in _delta_entry_dual(A, v, b, weight_cutoff).items():
-            acc(out, key, c * y)
+        key = (v, b, len(v) < weight_cutoff)
+        col = memo.get(key)
+        if col is None:
+            col = memo[key] = _delta_entry_dual(A, v, b, weight_cutoff)
+        add_scaled(out, col, c)
     return DualCochain(A, out, degree=phi.degree - 1)
 
 
@@ -204,16 +202,18 @@ def cup(A, phi1, phi2, weight_cutoff):
     if phi1.variant != "to_A" or phi2.variant != "to_A":
         raise GradingError("cup is defined on to-A cochains")
     n1, n2 = phi1.degree, phi2.degree
+    right = [(len(v2), n1 * (n2 + bar_degree(A, v2)) % 2, v2, a2, c2)
+             for (v2, a2), c2 in phi2.entries.items()]
     out = {}
     for (v1, a1), c1 in phi1.entries.items():
-        for (v2, a2), c2 in phi2.entries.items():
-            if len(v1) + len(v2) > weight_cutoff:
+        room = weight_cutoff - len(v1)
+        for len2, odd, v2, a2, c2 in right:
+            if len2 > room:
                 continue
             prod = A.mul(a1, a2)
             if not prod:
                 continue
-            e = n1 * (n2 + bar_degree(A, v2))
-            sign = -1 if e % 2 else 1
+            sign = -1 if odd else 1
             w = v1 + v2
             for k, cm in prod.items():
                 acc(out, (w, k), sign * c1 * c2 * cm)

@@ -65,6 +65,8 @@ class DGA:
                  top_degree, orientation=None, commutative=True, label=""):
         self.names = tuple(names)
         self.degrees = tuple(degrees)
+        # bar degree |i| - 1 of each index i used as a letter
+        self.letter_degrees = tuple(q - 1 for q in self.degrees)
         self.unit = unit
         self.product = {k: dict(v) for k, v in product.items() if v}
         self.differential = {k: dict(v) for k, v in differential.items() if v}

@@ -17,7 +17,7 @@ from .linalg import acc, homology, kernel_basis
 # words_by_degree and assemble_complex are unused here, but
 # bench/tracing.py wraps them under this module and its restore test reads
 # them back
-from .bar import bar_degree, words_by_degree  # noqa: F401
+from .bar import bar_degree, prefix_degrees, words_by_degree  # noqa: F401
 from .cochains import assemble_complex  # noqa: F401
 from .dga import OrientationError, dga_homology
 from .cochains import (Cochain, DualCochain, GradingError, cup,
@@ -105,13 +105,35 @@ def poincare_P_chain_inverse(A, psi):
     return Cochain(A, out, degree=psi.degree - A.top_degree)
 
 
+def _rotation(A, u):
+    """B of the dual basis cochain (u, unit): one ((w, b), sign) pair per
+    letter b of u, with w the rest of u read cyclically from after b.
+    A periodic u repeats keys; the pairs stay apart so that connes_B adds
+    them in rotation order.  Memoised on the model under "rotation",
+    keyed by u."""
+    memo = A._cache.setdefault("rotation", {})
+    col = memo.get(u)
+    if col is None:
+        eps = prefix_degrees(A, u)
+        eps_u = eps[-1]
+        col = []
+        for j, b in enumerate(u):
+            eps_k = eps_u - eps[j + 1]  # bar degree of u[j + 1:]
+            eps_r = eps_u - A.letter_degrees[b]
+            e = (eps_k + 1) * (eps_r - eps_k)
+            col.append(((u[j + 1:] + u[:j], b), -1 if e % 2 else 1))
+        col = memo[u] = tuple(col)
+    return col
+
+
 def connes_B(A, phi, p):
     """Rotation operator on dual cochains.
 
     B(phi)(w_1..w_r)(b) cycles (b, w_*) through the unit test slot:
     only entries of phi whose test index is the unit contribute, and each
     letter of such a word takes one turn as the new test element.  Weight
-    drops by one, degree rises by one.
+    drops by one, degree rises by one.  The rotation of each word is
+    memoised on the model under "rotation", keyed by the word.
     """
     if phi.variant != "to_dual":
         raise GradingError("connes_B expects a dual cochain")
@@ -122,14 +144,8 @@ def connes_B(A, phi, p):
     for (u, val), c in phi.entries.items():
         if val != A.unit or not u:
             continue
-        eps_u = bar_degree(A, u)
-        for j, b in enumerate(u):
-            w = u[j + 1:] + u[:j]
-            eps_k = bar_degree(A, u[j + 1:])
-            eps_r = eps_u - (A.degrees[b] - 1)
-            e = (eps_k + 1) * (eps_r - eps_k)
-            sign = -1 if e % 2 else 1
-            acc(out, (w, b), sign * c)
+        for key, sign in _rotation(A, u):
+            acc(out, key, sign * c)
     return DualCochain(A, out, degree=phi.degree + 1)
 
 
@@ -151,8 +167,12 @@ def symplectic_basis(A):
 
     Requires top degree 2 and a degree-1 basis whose orientation pairing
     is exactly the standard form under some index pairing; the builtin
-    surface and two-torus models qualify.
+    surface and two-torus models qualify.  A basis found is cached on the
+    model; a model that lacks one is checked again on every call.
     """
+    if "symplectic" in A._cache:
+        return A._cache["symplectic"]
+
     def lacks(reason):
         return BracketModelError(
             f"model lacks symplectic degree-1 structure ({reason})")
@@ -183,7 +203,8 @@ def symplectic_basis(A):
         if forward[y].get(x, 0) != standard.get((x, y), 0):
             raise lacks(f"pairing of {A.names[x]},{A.names[y]} "
                         "is not standard")
-    return SymplecticBasis(alphas, betas)
+    symp = A._cache["symplectic"] = SymplecticBasis(alphas, betas)
+    return symp
 
 
 def _check_bracket_inputs(A, c1, c2, p, q):

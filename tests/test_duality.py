@@ -5,12 +5,16 @@ import random
 import pytest
 
 from conftest import MODEL_IDS, model, random_cochain, slice_bases
-from looptop.cochains import (Cochain, DualCochain, GradingError, delta_to_A,
+from looptop import builtin_model
+from looptop.cochains import (Cochain, DualCochain, GradingError,
+                              _delta_entry_dual, cup, delta_to_A,
                               delta_to_dual, hochschild_homology)
-from looptop.duality import (BracketModelError, NotInImageError, bracket,
-                             chain_pairing_invertible, connes_B, e1_bracket,
-                             e1_term, poincare_P, poincare_P_chain_inverse,
-                             symplectic_basis)
+from looptop.dga import build_dga, dga_to_doc
+from looptop.duality import (BracketModelError, CycleError, NotInImageError,
+                             bracket, chain_pairing_invertible, connes_B,
+                             e1_bracket, e1_term, poincare_P,
+                             poincare_P_chain_inverse, symplectic_basis)
+from looptop.linalg import acc
 
 ORIENTED = ["sphere:2", "sphere:3", "complex_projective:1",
             "complex_projective:2", "surface:1", "surface:2",
@@ -214,3 +218,183 @@ def test_bracket_needs_surface_like_model():
         bracket(model("sphere:2"),
                 DualCochain(model("sphere:2"), {((), 0): 1}, degree=0),
                 DualCochain(model("sphere:2"), {((), 0): 1}, degree=0), 1, 1)
+
+
+def _h0_classes(A, cutoff):
+    h = hochschild_homology(A, "to_dual", (0, 0), cutoff)[0]
+    return [DualCochain(A, dict(v), degree=0) for v in h.representatives]
+
+
+def _torus_with_broken_unit():
+    """torus:2 with 1·x1 = x1 + x2 (fails validate_dga).
+
+    On torus:2 itself every degree-0 dual cochain rotates to a cocycle:
+    the degree -1 slice is empty and the prepend and append terms of the
+    rotations cancel in pairs.  Here the unit no longer acts as one, so
+    rotating (x2, x2) at p = 3 leaves a cochain that is not a cocycle,
+    while at p = 2 the cutoff drops the terms that do not cancel.  The
+    symplectic basis and the pairing inverse are those of torus:2."""
+    doc = dga_to_doc(builtin_model("torus:2"))
+    for entry in doc["products"]:
+        if (entry["left"], entry["right"]) == ("1", "x1"):
+            entry["result"] = {"x1": "1", "x2": "1"}
+    return build_dga(doc)
+
+
+def test_warm_caches_do_not_mask_bracket_checks():
+    t2 = builtin_model("torus:2")
+    classes = _h0_classes(t2, 3)
+    x, y = classes[5], classes[6]  # (x1, x2) and (x1, x2, x2)
+    assert not bracket(t2, x, y, 3, 3).is_zero
+    with pytest.raises(GradingError,
+                       match="class support exceeds its stated filtration"):
+        bracket(t2, x, y, 3, 2)
+    with pytest.raises(GradingError,
+                       match="cochain has weight 3, expected <= 2"):
+        connes_B(t2, y, 2)
+    with pytest.raises(GradingError, match="connes_B expects a dual cochain"):
+        connes_B(t2, Cochain(t2, {((1,), 1): 1}), 3)
+    mixed = {((1, 2), t2.unit): 1, ((1,), 1): 1}
+    for cls, n in ((DualCochain, 1), (Cochain, -1)):
+        with pytest.raises(GradingError) as err:
+            cls(t2, mixed)
+        assert str(err.value) == (
+            f"entry (x1):x1 has degree {n}, cochain has degree 0")
+
+    broken = _torus_with_broken_unit()
+    c = DualCochain(broken, {((2, 2), broken.unit): 1}, degree=0)
+    top = DualCochain(broken, {((1, 2, 1), broken.unit): 1}, degree=0)
+    # p = 2 memoises the coboundary of ((x2,), x2) below the cutoff...
+    assert bracket(broken, c, c, 2, 2).is_zero
+    assert not bracket(broken, top, top, 3, 3).is_zero
+    # ...and at p = 3 the same column must carry the weight-raising terms
+    with pytest.raises(CycleError, match="rotated first argument"):
+        bracket(broken, c, top, 3, 3)
+    with pytest.raises(CycleError, match="rotated second argument"):
+        bracket(broken, top, c, 3, 3)
+
+    s3 = builtin_model("sphere:3")
+    for _ in range(2):
+        with pytest.raises(BracketModelError, match="top degree 3 != 2"):
+            symplectic_basis(s3)
+
+
+def _reference_connes_B(A, phi):
+    """The rotation with its sign recomputed per letter, O(len^2)."""
+    def eps(word):
+        return sum(A.degrees[i] - 1 for i in word)
+
+    out = {}
+    for (u, val), c in phi.entries.items():
+        if val != A.unit or not u:
+            continue
+        for j, b in enumerate(u):
+            eps_k = eps(u[j + 1:])
+            e = (eps_k + 1) * (eps(u) - (A.degrees[b] - 1) - eps_k)
+            acc(out, (u[j + 1:] + u[:j], b), (-1 if e % 2 else 1) * c)
+    return out
+
+
+def _reference_cup(A, phi1, phi2, cutoff):
+    """Cup product with the Koszul sign recomputed for every pair."""
+    n1, n2 = phi1.degree, phi2.degree
+    out = {}
+    for (v1, a1), c1 in phi1.entries.items():
+        for (v2, a2), c2 in phi2.entries.items():
+            if len(v1) + len(v2) > cutoff:
+                continue
+            e = n1 * (n2 + sum(A.degrees[i] - 1 for i in v2))
+            for k, cm in A.mul(a1, a2).items():
+                acc(out, (v1 + v2, k), (-1 if e % 2 else 1) * c1 * c2 * cm)
+    return out
+
+
+def _reference_delta_to_dual(A, phi, cutoff):
+    """The dual coboundary summed entry by entry, nothing memoised."""
+    out = {}
+    for (v, b), c in phi.entries.items():
+        for key, y in _delta_entry_dual(A, v, b, cutoff).items():
+            acc(out, key, c * y)
+    return out
+
+
+def test_memoised_operators_match_references_with_signs():
+    """connes_B, cup and delta_to_dual against entrywise references on
+    models whose letters have nonzero bar degree, so every sign matters;
+    each dual cochain meets its cutoffs in a seeded order, twice, so a
+    column memoised at one cutoff is read back at another.  (On sphere:3
+    the dual coboundary vanishes identically.)"""
+    rng = random.Random(4111)
+    nonzero = {"B": 0, "cup": 0, "delta": 0}
+    for mid in ("complex_projective:2", "sphere:3",
+                "acyclic_extension:sphere:3"):
+        A = builtin_model(mid)
+        dual = slice_bases(A, "to_dual", (0, 7), 3)
+        units = {n: [k for k in keys if k[1] == A.unit]
+                 for n, keys in dual.items()}
+        to_A = slice_bases(A, "to_A", (-A.top_degree, 5), 3)
+        for _ in range(25):
+            n = rng.choice([n for n in sorted(units) if units[n]])
+            keys = set(rng.sample(units[n], min(3, len(units[n]))))
+            keys.update(rng.sample(dual[n], min(3, len(dual[n]))))
+            phi = DualCochain(A, {k: rng.choice((-2, -1, 1, 3))
+                                  for k in sorted(keys)}, degree=n)
+            rotated = connes_B(A, phi, 3)
+            assert rotated.entries == _reference_connes_B(A, phi), mid
+            assert rotated.degree == n + 1
+            nonzero["B"] += not rotated.is_zero
+            cutoffs = list(range(6))
+            for _ in range(2):
+                rng.shuffle(cutoffs)
+                for cutoff in cutoffs:
+                    for psi in (phi, rotated):
+                        got = delta_to_dual(A, psi, cutoff)
+                        want = _reference_delta_to_dual(A, psi, cutoff)
+                        assert got.entries == want, (mid, cutoff)
+                        assert got.degree == psi.degree - 1
+                        nonzero["delta"] += not got.is_zero
+            phi1 = random_cochain(A, rng, to_A, terms=4)
+            phi2 = random_cochain(A, rng, to_A, terms=4)
+            for cutoff in (rng.randint(0, 6), 6):
+                got = cup(A, phi1, phi2, cutoff)
+                assert got.entries == _reference_cup(A, phi1, phi2, cutoff)
+                assert got.degree == phi1.degree + phi2.degree
+                nonzero["cup"] += not got.is_zero
+    assert all(nonzero.values()), nonzero
+
+
+def test_memos_are_per_model():
+    """Brackets computed alternately on two warm models equal those of
+    freshly built ones.  torus:2 and surface:2 brackets only meet words
+    whose columns agree in both models, and a memo shared by all models
+    would serve the fresh ones too, so rotations and coboundaries are also
+    alternated over models that give the same words different columns
+    (torus:2, its broken-unit variant, complex_projective:2) and compared
+    with the memo-free references."""
+    warm = {mid: builtin_model(mid) for mid in ("torus:2", "surface:2")}
+    classes = {mid: _h0_classes(A, 2) for mid, A in warm.items()}
+    n = min(len(cs) for cs in classes.values())
+    got = {}
+    for i in range(n):
+        for j in range(n):
+            for mid, A in warm.items():
+                x, y = classes[mid][i], classes[mid][j]
+                got[(mid, i, j)] = bracket(A, x, y, 2, 2)
+    for mid in warm:
+        fresh = builtin_model(mid)
+        for i in range(n):
+            for j in range(n):
+                x, y = classes[mid][i], classes[mid][j]
+                want = bracket(fresh, x, y, 2, 2)
+                assert got[(mid, i, j)] == want, (mid, i, j)
+
+    models = [builtin_model("torus:2"), _torus_with_broken_unit(),
+              builtin_model("complex_projective:2")]
+    for u in [(1,), (2,), (1, 2), (2, 1), (2, 2), (1, 2, 2), (2, 1, 2)]:
+        for cutoff in (1, 2, 3):
+            for A in models:
+                phi = DualCochain(A, {(u, A.unit): 1})
+                rotated = connes_B(A, phi, 3)
+                assert rotated.entries == _reference_connes_B(A, phi)
+                assert delta_to_dual(A, rotated, cutoff).entries == (
+                    _reference_delta_to_dual(A, rotated, cutoff)), (u, cutoff)
