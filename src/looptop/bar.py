@@ -4,8 +4,9 @@ Words are tuples of positive-degree basis indices (letters).  The word
 (w_1, ..., w_r) sits in degree sum(|w_i| - 1) and weight r; the boundary
 raises degree by one and never raises weight.  Components landing on the
 unit (degree-0 products) are dropped: the construction is reduced.  The
-boundary is written once, transposed (boundary_preimages): bar slices and
-both cochain coboundaries read it.
+boundary is written once, transposed (boundary_preimages), from a term
+table per letter memoised on the model: bar slices and both cochain
+coboundaries read it.
 """
 
 from .linalg import acc, compose_columns, homology
@@ -28,32 +29,56 @@ def prefix_degrees(A, word):
     return eps
 
 
+def _preimage_terms(A):
+    """Per basis index k, the terms that reach k from one letter: the
+    differential preimages ell of degree >= 1 with the coefficient of k in
+    d(ell), and the pairs of letters (l1, l2) with the coefficient of k in
+    l1 l2 times (-1)^{|l1| - 1}, each in table order.  Memoised on the
+    model under "preimages"."""
+    terms = A._cache.get("preimages")
+    if terms is None:
+        diffs = [[] for _ in A.degrees]
+        splits = [[] for _ in A.degrees]
+        for ell, img in A.differential.items():
+            if A.degrees[ell] >= 1:
+                for k, c in img.items():
+                    diffs[k].append((ell, c))
+        for (l1, l2), img in A.product.items():
+            if A.degrees[l1] >= 1 and A.degrees[l2] >= 1:
+                s = 1 if A.degrees[l1] % 2 else -1
+                for k, c in img.items():
+                    splits[k].append((l1, l2, s * c))
+        terms = A._cache["preimages"] = tuple(zip(diffs, splits))
+    return terms
+
+
 def boundary_preimages(A, v, max_weight):
     """The bar boundary, transposed: words w of weight <= max_weight with
     v in the support of d(w), mapped to the coefficient of v in d(w).
 
-    Two families of terms: replace one letter of v by a differential
-    preimage, or split one letter by the transposed product.  Each carries
-    the sign -(-1)^e where e is the bar degree of the prefix of w through
-    the start of the affected letter block (through the first split letter
-    for splits).  Contributions are accumulated: a given w may reach v
-    several ways.
+    Two families of terms, read per letter of v from _preimage_terms:
+    replace the letter by a differential preimage, or split it into two
+    letters by the transposed product.  Both carry the sign -(-1)^e with
+    e the bar degree of v before the letter, kept as a running sum (a
+    split's extra (-1)^{|l1| - 1} is already in its coefficient).
+    Contributions are accumulated: a given w may reach v several ways.
     """
-    eps = prefix_degrees(A, v)
-    splits = len(v) + 1 <= max_weight
+    terms = _preimage_terms(A)
+    table = A.letter_degrees
+    splits = len(v) < max_weight
     out = {}
+    e = 0
     for idx, vi in enumerate(v):
-        sign = -1 if eps[idx] % 2 == 0 else 1
-        for ell, cd in A.co_d.get(vi, ()):
-            if A.degrees[ell] < 1:
-                continue
-            acc(out, v[:idx] + (ell,) + v[idx + 1:], sign * cd)
-        if not splits:
-            continue
-        for l1, l2, cm in A.co_split.get(vi, ()):
-            e = eps[idx] + A.degrees[l1] - 1
-            sign2 = -1 if e % 2 == 0 else 1
-            acc(out, v[:idx] + (l1, l2) + v[idx + 1:], sign2 * cm)
+        diffs, pairs = terms[vi]
+        if diffs or splits and pairs:
+            sign = 1 if e % 2 else -1
+            head, tail = v[:idx], v[idx + 1:]
+            for ell, c in diffs:
+                acc(out, head + (ell,) + tail, sign * c)
+            if splits:
+                for l1, l2, c in pairs:
+                    acc(out, head + (l1, l2) + tail, sign * c)
+        e += table[vi]
     return out
 
 

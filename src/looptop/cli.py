@@ -303,6 +303,10 @@ def main(argv=None):
             NotInImageError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError:
+        sys.stderr.write(f"error: out of memory in {args.command}; try a "
+                         "smaller degree window or weight cutoff\n")
+        return 1
 
 
 if __name__ == "__main__":

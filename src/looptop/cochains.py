@@ -8,13 +8,14 @@ A to-A entry (w, a) sits in degree bar_degree(w) - |a|; a dual entry
 
 The coboundary lowers degree by one in both flavours and never lowers
 word length, so truncating by a weight cutoff gives an honest subquotient
-complex.  Coboundaries are computed entrywise: for a basis cochain all
-output entries are enumerated directly from the model's transposed
-structure maps (co_d, co_split, co_left_mul), which keeps the large
-acceptance sweeps fast.  delta_to_dual and duality.connes_B, which every
-bracket calls, memoise their basis columns on the model for its lifetime:
-A._cache["delta_dual"] keyed by (word, test index, word shorter than the
-cutoff) and A._cache["rotation"] keyed by word.
+complex.  Coboundaries are computed entrywise: a basis cochain's column is
+read off term tables built once per model with their signs worked out,
+A._cache["coboundary_terms"] (per flavour and value index) and the bar
+boundary's A._cache["preimages"] (per letter).  delta_to_dual and
+duality.connes_B, which every bracket calls, memoise their basis columns
+on the model for its lifetime: A._cache["delta_dual"] keyed by (word,
+test index, word shorter than the cutoff) and A._cache["rotation"] keyed
+by word.
 """
 
 from .linalg import acc, add_scaled, compose_columns, homology
@@ -112,65 +113,88 @@ def unit_cochain(A):
     return Cochain(A, {((), A.unit): 1})
 
 
+def _coboundary_terms(A, variant):
+    """Per value index, the terms of the coboundary of a basis cochain
+    (v, value) that do not come from the bar boundary, signs worked out:
+    (value terms, sign, ends).  Value terms are (k, c) for entries (v, k).
+    The bar boundary's coefficients are multiplied by sign.  ends[p], for
+    bar_degree(v) % 2 == p, lists (letter, k, c, front) for entries
+    ((letter,) + v, k) if front, else (v + (letter,), k): letters in basis
+    order, products in table order.  Memoised on the model under
+    "coboundary_terms", keyed by variant.
+    """
+    tables = A._cache.setdefault("coboundary_terms", {})
+    if variant in tables:
+        return tables[variant]
+    deg = A.degrees
+    vals = [[] for _ in deg]
+    ends = [([], []) for _ in deg]
+    if variant == "to_A":
+        for a, img in A.differential.items():
+            vals[a] = [(k, -c if deg[a] % 2 else c) for k, c in img.items()]
+        for a, (even, odd) in enumerate(ends):
+            for p, out in ((0, even), (1, odd)):
+                for ell in A.letters:
+                    # prepend: the first letter multiplies from the left
+                    s3 = -1 if (deg[a] + deg[ell] + 1) % 2 else 1
+                    out.extend((ell, k, s3 * c, True)
+                               for k, c in A.mul(ell, a).items())
+                    # append: the last letter multiplies from the right,
+                    # sign -(-1)^{(|ell| + 1)(n + 1)}, n = bar_degree(v) - |a|
+                    s4 = 1 if (deg[ell] + 1) * (p - deg[a] + 1) % 2 else -1
+                    out.extend((ell, k, s4 * c, False)
+                               for k, c in A.mul(a, ell).items())
+    else:
+        # value-differential: phi(w)(db) picks up entries (v, b) with db -> c
+        for b, img in A.differential.items():
+            for k, c in img.items():
+                vals[k].append((b, c))
+        left = {}
+        for (b, ell), img in A.product.items():
+            for k, c in img.items():
+                left.setdefault((ell, k), []).append((b, c))
+        for k, (even, odd) in enumerate(ends):
+            for p, out in ((0, even), (1, odd)):
+                for ell in A.letters:
+                    for b, c in left.get((ell, k), ()):
+                        # prepend: -(-1)^{|b|} phi(w[1:])(b w_1)
+                        out.append((ell, b, c if deg[b] % 2 else -c, True))
+                        # append: +(-1)^{|b| + eps(v)(|w_r| + 1)}
+                        # phi(w[:-1])(b w_r)
+                        e4 = deg[b] + p * (deg[ell] + 1)
+                        out.append((ell, b, -c if e4 % 2 else c, False))
+    tables[variant] = table = [
+        (vals[i], -1 if deg[i] % 2 else 1, ends[i]) for i in range(len(deg))]
+    return table
+
+
+def _delta_entry(A, variant, v, val, cutoff):
+    """Coboundary of the basis cochain supported at (v, val)."""
+    vals, sign, ends = _coboundary_terms(A, variant)[val]
+    out = {}
+    for k, c in vals:
+        acc(out, (v, k), c)
+    # transposed bar boundary, sign (-1)^{|val|} in both flavours; its
+    # words differ from v, so no key is in out yet
+    out.update(((w, val), sign * mu)
+               for w, mu in boundary_preimages(A, v, cutoff).items())
+    # prepend / append a letter, absorbing it into the value
+    if len(v) < cutoff:
+        for ell, k, c, front in ends[bar_degree(A, v) % 2]:
+            acc(out, ((ell,) + v if front else v + (ell,), k), c)
+    return out
+
+
 def _delta_entry_dual(A, v, c_val, cutoff):
     """Coboundary of the dual basis cochain supported at (v, c_val)."""
-    out = {}
-    eps_v = bar_degree(A, v)
-    # value-differential: phi(w)(db) picks up entries (v, b) with db -> c
-    for b, cd in A.co_d.get(c_val, ()):
-        acc(out, (v, b), cd)
-    # transposed bar boundary, sign (-1)^{|b|} with b = c_val
-    s2 = -1 if A.degrees[c_val] % 2 else 1
-    for w, mu in boundary_preimages(A, v, cutoff).items():
-        acc(out, (w, c_val), s2 * mu)
-    # prepend / append a letter, absorbing it into the test slot
-    if len(v) + 1 <= cutoff:
-        for ell in A.letters:
-            for b, cm in A.co_left_mul.get((ell, c_val), ()):
-                sb = A.degrees[b]
-                # prepend: -(-1)^{|b|} phi(w[1:])(b w_1)
-                s3 = 1 if sb % 2 else -1
-                acc(out, ((ell,) + v, b), s3 * cm)
-                # append: +(-1)^{|b| + eps_{r-1}(|w_r|+1)} phi(w[:-1])(b w_r)
-                e4 = sb + eps_v * (A.degrees[ell] + 1)
-                s4 = -1 if e4 % 2 else 1
-                acc(out, (v + (ell,), b), s4 * cm)
-    return out
-
-
-def _delta_entry_to_A(A, v, a, cutoff):
-    """Coboundary of the to-A basis cochain supported at (v, a)."""
-    out = {}
-    sa = A.degrees[a]
-    s1 = -1 if sa % 2 else 1
-    # differential of the value
-    for k, cd in A.d(a).items():
-        acc(out, (v, k), s1 * cd)
-    # transposed bar boundary (total sign works out to (-1)^{|a|} mu)
-    for w, mu in boundary_preimages(A, v, cutoff).items():
-        acc(out, (w, a), s1 * mu)
-    if len(v) + 1 <= cutoff:
-        e_v = bar_degree(A, v)
-        n = e_v - sa
-        for ell in A.letters:
-            dl = A.degrees[ell]
-            # prepend: the first letter multiplies the value from the left
-            s3 = -1 if (sa + dl + 1) % 2 else 1
-            for k, cm in A.mul(ell, a).items():
-                acc(out, ((ell,) + v, k), s3 * cm)
-            # append: the last letter multiplies from the right
-            e4 = (dl + 1) * (n + 1)
-            s4 = 1 if e4 % 2 else -1
-            for k, cm in A.mul(a, ell).items():
-                acc(out, (v + (ell,), k), s4 * cm)
-    return out
+    return _delta_entry(A, "to_dual", v, c_val, cutoff)
 
 
 def delta_to_A(A, phi, weight_cutoff):
     """Coboundary of a to-A cochain; degree drops by one."""
     out = {}
     for (v, a), c in phi.entries.items():
-        for key, y in _delta_entry_to_A(A, v, a, weight_cutoff).items():
+        for key, y in _delta_entry(A, "to_A", v, a, weight_cutoff).items():
             acc(out, key, c * y)
     return Cochain(A, out, degree=phi.degree - 1)
 
@@ -274,8 +298,8 @@ def assemble_complex(A, variant, degree, weight_cutoff):
             for val in values:
                 basis.append((w, val))
     basis.sort(key=lambda key: (len(key[0]), key[0], key[1]))
-    entry = _delta_entry_to_A if variant == "to_A" else _delta_entry_dual
-    delta_columns = {key: entry(A, key[0], key[1], weight_cutoff)
+    delta_columns = {key: _delta_entry(A, variant, key[0], key[1],
+                                       weight_cutoff)
                      for key in basis}
     return ComplexSlice(variant, degree, weight_cutoff, tuple(basis),
                         delta_columns,

@@ -134,41 +134,6 @@ class DGA:
             self._cache["by_degree"] = {d: tuple(v) for d, v in by.items()}
         return self._cache["by_degree"].get(q, ())
 
-    @property
-    def co_d(self):
-        """Transposed differential: target index -> ((source, coeff), ...)."""
-        if "co_d" not in self._cache:
-            co = {}
-            for i, img in self.differential.items():
-                for k, c in img.items():
-                    co.setdefault(k, []).append((i, c))
-            self._cache["co_d"] = {k: tuple(v) for k, v in co.items()}
-        return self._cache["co_d"]
-
-    @property
-    def co_split(self):
-        """Product transposed over letter pairs: k -> ((i, j, coeff), ...)."""
-        if "co_split" not in self._cache:
-            letters = set(self.letters)
-            co = {}
-            for (i, j), img in self.product.items():
-                if i in letters and j in letters:
-                    for k, c in img.items():
-                        co.setdefault(k, []).append((i, j, c))
-            self._cache["co_split"] = {k: tuple(v) for k, v in co.items()}
-        return self._cache["co_split"]
-
-    @property
-    def co_left_mul(self):
-        """(j, k) -> ((i, coeff), ...) with (i·j) having coeff at k."""
-        if "co_left_mul" not in self._cache:
-            co = {}
-            for (i, j), img in self.product.items():
-                for k, c in img.items():
-                    co.setdefault((j, k), []).append((i, c))
-            self._cache["co_left_mul"] = {k: tuple(v) for k, v in co.items()}
-        return self._cache["co_left_mul"]
-
     def __repr__(self):
         return f"DGA({self.label}, dim={self.dim}, top={self.top_degree})"
 

@@ -238,6 +238,17 @@ def test_bracket_refuses_model_before_building_slices(capsys, monkeypatch):
         assert (code, out, err) == (1, "", f"error: {message}\n"), mid
 
 
+def test_out_of_memory_is_one_line_failure(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("looptop.cli.loop_homology", exhausted)
+    code, out, err = run(capsys, ["loop-homology", "--model", "sphere:3"])
+    assert (code, out) == (1, "")
+    assert err == ("error: out of memory in loop-homology; try a smaller "
+                   "degree window or weight cutoff\n")
+
+
 def test_pi1_compare(capsys):
     code, out, _ = run(capsys, ["pi1-compare", "--p", "3"])
     assert code == 0
