@@ -490,14 +490,14 @@ def builtin_model(model_id):
             raise ModelError("acyclic_extension takes a base id, "
                              "e.g. acyclic_extension:sphere:3")
         return acyclic_extension(builtin_model(rest))
+    if family not in _FAMILIES:
+        raise ModelError(f"unknown builtin model {family!r}")
     try:
         params = [int(p) for p in rest.split(":")] if colon else []
     except ValueError:
         raise ModelError(f"invalid parameters in {model_id!r}") from None
     if len(params) != 1:
         raise ModelError(f"{family} takes exactly one integer parameter")
-    if family not in _FAMILIES:
-        raise ModelError(f"unknown builtin model {family!r}")
     build, lo, hi, message = _FAMILIES[family]
     n = params[0]
     if not lo <= n <= hi:

@@ -87,9 +87,7 @@ class _Row:
 
 
 def _content_one(vec):
-    g = 0
-    for x in vec.values():
-        g = gcd(g, x)
+    g = gcd(*vec.values())
     return {k: x // g for k, x in vec.items()} if g > 1 else vec
 
 
@@ -113,7 +111,10 @@ class Echelon:
         return len(self.rows)
 
     def _cleared(self, vec):
-        """Integer multiple of vec; returns (int vector, multiplier)."""
+        """Integer multiple of vec, a new dict without zeros; returns
+        (int vector, multiplier)."""
+        if all(type(c) is int for c in vec.values()):
+            return {k: c for k, c in vec.items() if c}, 1
         m = 1
         for c in vec.values():
             m = lcm(m, c.denominator)
@@ -130,21 +131,24 @@ class Echelon:
 
         Returns (residual, scale): residual is an integer vector with no
         entry on a pivot key, and scale*vec - residual lies in the span.
+        No row meets another row's pivot, so one pass over the pivot keys
+        of vec clears them all, in any order: with c_k = vec[k]*m (m
+        clearing denominators) and p_k the pivot coefficient of row r_k,
+        the pass leaves P*m*vec - sum_k c_k*(P/p_k)*r_k, P = prod p_k,
+        which is symmetric in the rows.  vec itself is not modified.
         """
         v, scale = self._cleared(vec)
-        for k in sorted(v):
-            row = self.rows.get(k)
-            if row is None:
-                continue
-            c = v.get(k, 0)
-            if not c:
-                continue
-            p = row.vec[k]
-            v = vec_combine(v, p, row.vec, -c)
-            scale = scale * p
-        g = 0
-        for x in v.values():
-            g = gcd(g, x)
+        rows = self.rows
+        for k in [k for k in v if k in rows]:
+            row = rows[k].vec
+            p = row[k]
+            c = v[k]
+            if p != 1:
+                for kk, x in v.items():
+                    v[kk] = x * p
+                scale = scale * p
+            add_scaled(v, row, -c)
+        g = gcd(*v.values())
         if g > 1:
             v = {k: x // g for k, x in v.items()}
             scale = _div(scale, g)
@@ -260,19 +264,27 @@ class SubquotientBasis:
         return len(self.representatives)
 
     def express(self, vec):
+        """Rep coefficients of the class of vec, or None if vec is not a
+        cycle.  A cycle {f: 1} is subtracted by deleting f, and with
+        integer coordinates (scale 1) the residual is the answer, so
+        neither step builds a Fraction.  vec itself is not modified."""
         index, coords, rest = self._coordinate, {}, dict(vec)
+        cycles = self.cycles
         for k, c in vec.items():
             j = index.get(k)
             if j is not None and c:
                 coords[-j] = c
-                add_scaled(rest, self.cycles[j], -c)
+                if len(cycles[j]) == 1:
+                    del rest[k]
+                else:
+                    add_scaled(rest, cycles[j], -c)
         if any(rest.values()):
             return None  # not a cycle: vec != sum_j vec[f_j] z_j
         if not coords:
             return {}
         residual, scale = self.echelon.reduce(coords)
         rep = self._rep_index
-        return {rep[j]: _div(x, scale)
+        return {rep[j]: x if scale == 1 else _div(x, scale)
                 for j, x in sorted(residual.items(), reverse=True)}
 
     def is_boundary(self, vec):

@@ -76,6 +76,24 @@ def test_unknown_builtin_is_usage_error(capsys):
     assert code == 2
 
 
+BAD_BUILTIN_IDS = {
+    "nope": "unknown builtin model 'nope'",
+    "foo:x": "unknown builtin model 'foo'",
+    "acyclic_extension:": "unknown builtin model ''",
+    "acyclic_extension:nope": "unknown builtin model 'nope'",
+    "torus": "torus takes exactly one integer parameter",
+    "torus:1:2": "torus takes exactly one integer parameter",
+}
+
+
+@pytest.mark.parametrize("model_id", list(BAD_BUILTIN_IDS))
+def test_bad_builtin_id_names_the_fault(capsys, model_id):
+    """The family is checked before its parameters are counted."""
+    code, out, err = run(capsys, ["validate", "--model", model_id])
+    assert (code, out, err) == (
+        2, "", f"usage error: {BAD_BUILTIN_IDS[model_id]}\n")
+
+
 def test_missing_file_is_failure(capsys):
     code, _, err = run(capsys, ["validate", "/no/such/file.json"])
     assert code == 1

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -61,6 +62,102 @@ def test_echelon_reduce_identity():
         assert not set(residual) & set(ech.rows)
         in_span = vec_combine(probe, scale, residual, -1)
         assert ech.reduce(in_span)[0] == {}
+
+
+def _reduce_sorted_rebuild(ech, vec):
+    """Reference reduce: clears denominators, walks sorted(v) and builds
+    a new vector for every row it subtracts."""
+    m = 1
+    for c in vec.values():
+        m = lcm(m, Fraction(c).denominator)
+    v = {k: int(c * m) for k, c in vec.items() if c}
+    scale = m
+    for k in sorted(v):
+        row = ech.rows.get(k)
+        c = v.get(k, 0)
+        if row is None or not c:
+            continue
+        p = row.vec[k]
+        v = vec_combine(v, p, row.vec, -c)
+        scale = scale * p
+    g = 0
+    for x in v.values():
+        g = gcd(g, x)
+    if g > 1:
+        v = {k: x // g for k, x in v.items()}
+        scale = Fraction(scale, g)
+    return v, scale
+
+
+def test_reduce_matches_sorted_rebuild_reference():
+    """The one-pass, in-place reduce gives the sorted rebuilding loop's
+    (residual, scale) by value, on seeded echelons with non-unit pivots
+    built from Fraction and integer inserts; probes carry whole-valued
+    Fractions, explicit zeros, and pivot and non-pivot keys."""
+    rng = random.Random(53)
+    coeffs = [0, 1, -1, 2, -3, 5, Fraction(4, 2), Fraction(-2, 3),
+              Fraction(5, 4)]
+    unit_scale = non_unit_pivot = 0
+    for trial in range(120):
+        nkeys = rng.randint(3, 10)
+        ech = Echelon()
+        for vec in _random_insert_sequence(rng, nkeys, rng.randint(2, 8)):
+            if rng.random() < 0.5:
+                vec = {k: 2 * c for k, c in vec.items()}
+            ech.insert(vec)
+        for _ in range(6):
+            probe = {k: rng.choice(coeffs)
+                     for k in rng.sample(range(nkeys), rng.randint(1, nkeys))}
+            residual, scale = ech.reduce(probe)
+            assert (dict(residual), scale) == _reduce_sorted_rebuild(
+                ech, probe), trial
+            assert all(type(x) is int for x in residual.values())
+            unit_scale += scale == 1
+            non_unit_pivot += any(k in ech.rows and ech.rows[k].vec[k] != 1
+                                  for k in probe)
+    assert 100 < unit_scale < 620 and non_unit_pivot > 100
+
+
+def test_reduce_insert_express_leave_input_unchanged():
+    """reduce, insert, express and is_boundary leave the caller's dict as
+    it was: the same items, value types included, in the same order."""
+    # C1 = span(a, b, c, d), d(a) = 0, d(b) = d(c) = x, d(d) = y: the
+    # cycles are {a: 1} and {b: -1, c: 1}, one boundary a + 2(c - b)
+    h = homology({"u": {"a": 1, "b": -2, "c": 2}},
+                 {"a": {}, "b": {"x": 1}, "c": {"x": 1}, "d": {"y": 1}})
+    assert h.cycles == [{"a": 1}, {"b": -1, "c": 1}]
+    assert h.representatives == [{"a": 1}]
+
+    def snapshot(vec):
+        return [(k, type(x), x) for k, x in vec.items()]
+
+    def echelon():
+        ech = Echelon()  # pivots a (coefficient 2) and c
+        ech.insert({"a": 2, "b": 1})
+        ech.insert({"c": 1, "b": 3, "d": -1})
+        return ech
+
+    vecs = [{"c": Fraction(4, 2), "a": 0, "b": -2},
+            {"b": Fraction(-1, 3), "c": Fraction(1, 3), "d": 0},
+            {"a": 3, "d": 1}, {"a": 0, "c": 0}, {"c": 2, "a": 5, "b": 0}]
+    for vec in vecs:
+        before = snapshot(vec)
+        h.express(vec)
+        h.is_boundary(vec)
+        echelon().reduce(vec)
+        echelon().insert(vec)
+        assert snapshot(vec) == before, vec
+    # explicit zeros, on cycle keys and off them, change no answer
+    assert h.express({"c": Fraction(4, 2), "a": 0, "b": -2}) == {0: -1}
+    assert h.express({"b": Fraction(-1, 3), "c": Fraction(1, 3),
+                      "d": 0}) == {0: Fraction(-1, 6)}
+    assert h.express({"a": 3, "b": 0, "c": 0}) == {0: 3}
+    assert h.express({"a": 0, "c": 0}) == {}
+    assert h.is_boundary({"a": 1, "b": -2, "c": 2, "d": 0})
+    # the {a: 1} cycle is subtracted, but what remains is not a cycle
+    assert h.express({"a": 3, "d": 1}) is None
+    assert h.express({"a": 1, "c": 1}) is None
+    assert not h.is_boundary({"a": 3, "d": 1})
 
 
 def test_echelon_insert_reports_dependencies():
