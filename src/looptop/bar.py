@@ -99,7 +99,7 @@ def words_by_degree(A, max_weight, max_degree):
     cache = A._cache.setdefault("words_by_degree", {})
     hit = cache.get(max_weight)
     if hit is None or hit[0] < max_degree:
-        steps = [(i, A.degrees[i] - 1) for i in A.letters]
+        steps = [(i, A.letter_degrees[i]) for i in A.letters]
         layer = [((), 0)] if max_degree >= 0 else []
         buckets = {}
         for r in range(max_weight + 1):
@@ -114,7 +114,7 @@ def words_by_degree(A, max_weight, max_degree):
 
 
 def _min_letter_degree(A):
-    degs = [A.degrees[i] - 1 for i in A.letters]
+    degs = [A.letter_degrees[i] for i in A.letters]
     return min(degs) if degs else 1
 
 

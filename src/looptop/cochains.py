@@ -185,11 +185,6 @@ def _delta_entry(A, variant, v, val, cutoff):
     return out
 
 
-def _delta_entry_dual(A, v, c_val, cutoff):
-    """Coboundary of the dual basis cochain supported at (v, c_val)."""
-    return _delta_entry(A, "to_dual", v, c_val, cutoff)
-
-
 def delta_to_A(A, phi, weight_cutoff):
     """Coboundary of a to-A cochain; degree drops by one."""
     out = {}
@@ -212,7 +207,7 @@ def delta_to_dual(A, phi, weight_cutoff):
         key = (v, b, len(v) < weight_cutoff)
         col = memo.get(key)
         if col is None:
-            col = memo[key] = _delta_entry_dual(A, v, b, weight_cutoff)
+            col = memo[key] = _delta_entry(A, "to_dual", v, b, weight_cutoff)
         add_scaled(out, col, c)
     return DualCochain(A, out, degree=phi.degree - 1)
 

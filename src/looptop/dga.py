@@ -14,8 +14,8 @@ from fractions import Fraction
 import itertools
 import math
 
-from .linalg import (CompositionError, acc, add_scaled, column_rank, homology,
-                     vec_combine)
+from .linalg import (CompositionError, _div, acc, add_scaled, column_rank,
+                     homology, vec_combine)
 
 
 class ModelError(ValueError):
@@ -49,7 +49,7 @@ def _coeff(x):
             c = Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad coefficient {x!r}") from exc
-        return c.numerator if c.denominator == 1 else c
+        return _div(c, 1)
     raise ParseError(f"coefficient {x!r} is not a rational")
 
 
@@ -65,8 +65,14 @@ class DGA:
                  top_degree, orientation=None, commutative=True, label=""):
         self.names = tuple(names)
         self.degrees = tuple(degrees)
-        # bar degree |i| - 1 of each index i used as a letter
+        # positive-degree indices in basis order (the bar alphabet), and
+        # the bar degree |i| - 1 of each index i used as a letter
+        self.letters = tuple(i for i, q in enumerate(self.degrees) if q >= 1)
         self.letter_degrees = tuple(q - 1 for q in self.degrees)
+        by_degree = {}
+        for i, q in enumerate(self.degrees):
+            by_degree.setdefault(q, []).append(i)
+        self._by_degree = {q: tuple(v) for q, v in by_degree.items()}
         self.unit = unit
         self.product = {k: dict(v) for k, v in product.items() if v}
         self.differential = {k: dict(v) for k, v in differential.items() if v}
@@ -115,24 +121,11 @@ class DGA:
         return sum((self.orientation.get(i, 0) * c for i, c in u.items()), 0)
 
     @property
-    def letters(self):
-        """Positive-degree basis indices, in basis order (bar alphabet)."""
-        if "letters" not in self._cache:
-            self._cache["letters"] = tuple(
-                i for i, q in enumerate(self.degrees) if q >= 1)
-        return self._cache["letters"]
-
-    @property
     def simply_connected(self):
         return all(q != 1 for q in self.degrees)
 
     def basis_of_degree(self, q):
-        if "by_degree" not in self._cache:
-            by = {}
-            for i, d in enumerate(self.degrees):
-                by.setdefault(d, []).append(i)
-            self._cache["by_degree"] = {d: tuple(v) for d, v in by.items()}
-        return self._cache["by_degree"].get(q, ())
+        return self._by_degree.get(q, ())
 
     def __repr__(self):
         return f"DGA({self.label}, dim={self.dim}, top={self.top_degree})"

@@ -21,7 +21,7 @@ from .bar import bar_degree, prefix_degrees, words_by_degree  # noqa: F401
 from .cochains import assemble_complex  # noqa: F401
 from .dga import OrientationError, dga_homology
 from .cochains import (Cochain, DualCochain, GradingError, cup,
-                       delta_to_dual, _delta_entry_dual)
+                       delta_to_dual, _delta_entry)
 
 
 class NotInImageError(ValueError):
@@ -310,7 +310,7 @@ def e1_term(A, p):
     degrees = sorted(basis_by_degree)
     # at cutoff p the weight-raising terms drop out, leaving the value
     # differential and the letterwise differential of the quotient
-    columns = {n: {key: _delta_entry_dual(A, key[0], key[1], p)
+    columns = {n: {key: _delta_entry(A, "to_dual", key[0], key[1], p)
                    for key in basis_by_degree[n]}
                for n in degrees}
     quotient_dims = {}

@@ -9,14 +9,13 @@ bilinearly; it is the independent reference the cochain pipeline is
 compared against.
 """
 
-from fractions import Fraction
 import itertools
 import math
 
 from . import cochains
 from .cochains import DualCochain
 from .dga import builtin_model
-from .linalg import acc, add_scaled
+from .linalg import _div, acc, add_scaled
 
 
 class TruncationError(ValueError):
@@ -90,8 +89,7 @@ def _binomial(m, k):
     num = 1
     for i in range(k):
         num *= m - i
-    val = Fraction(num, math.factorial(k))
-    return val.numerator if val.denominator == 1 else val
+    return _div(num, math.factorial(k))
 
 
 def jadic_reduce(x, p):
@@ -152,9 +150,7 @@ def holonomy_cochain(A, u, weight_cutoff):
             num = 1
             for i in word:
                 num *= coords[i]
-            c = Fraction(num, fact)
-            entries[(word, A.unit)] = (
-                c.numerator if c.denominator == 1 else c)
+            entries[(word, A.unit)] = _div(num, fact)
     return DualCochain(A, entries, degree=0)
 
 

@@ -6,10 +6,12 @@ image vector; keys absent from a vector have coefficient zero.  Everything is
 deterministic: pivots follow the sorted order of keys, so ranks, kernels and
 homology representatives come out identical from run to run.
 
-Arithmetic is fraction-free where possible: stored rows are integer vectors
-with content 1 and positive pivot, and rationals only enter through kernel
-vectors and the scale that Echelon.reduce divides out.  Homology works in
-the coordinates of the cycle basis that kernel_basis returns, so no
+Elimination is integer-only: stored rows are integer vectors with content
+1 and positive pivot, and Echelon.reduce returns an integer residual with
+an int multiplier.  Rationals enter only through kernel vectors and the
+final division in SubquotientBasis.express, and _div is the one place
+that decides a whole rational is an int.  Homology works in the
+coordinates of the cycle basis that kernel_basis returns, so no
 elimination tracks how its rows arise from the inserted vectors.
 """
 
@@ -21,17 +23,10 @@ class CompositionError(Exception):
     """Two maps that should compose to zero do not."""
 
 
-def _simp(x):
-    """Collapse whole Fractions back to int."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    return x
-
-
 def _div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return _simp(Fraction(a, b))
-    return _simp(Fraction(a) / Fraction(b))
+    """a/b exactly: an int when the quotient is whole, else a Fraction."""
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 def acc(out, key, c):
@@ -118,26 +113,21 @@ class Echelon:
         m = 1
         for c in vec.values():
             m = lcm(m, c.denominator)
-        out = {}
-        for k, c in vec.items():
-            x = c * m
-            x = x.numerator if isinstance(x, Fraction) else x
-            if x:
-                out[k] = x
-        return out, m
+        return {k: x for k, c in vec.items() if (x := (c * m).numerator)}, m
 
     def reduce(self, vec):
         """Reduce vec against the rows.
 
-        Returns (residual, scale): residual is an integer vector with no
-        entry on a pivot key, and scale*vec - residual lies in the span.
-        No row meets another row's pivot, so one pass over the pivot keys
-        of vec clears them all, in any order: with c_k = vec[k]*m (m
-        clearing denominators) and p_k the pivot coefficient of row r_k,
-        the pass leaves P*m*vec - sum_k c_k*(P/p_k)*r_k, P = prod p_k,
-        which is symmetric in the rows.  vec itself is not modified.
+        Returns (residual, m): residual is an integer vector with no entry
+        on a pivot key, m is a positive int, and m*vec - residual lies in
+        the span.  No row meets another row's pivot, so one pass over the
+        pivot keys of vec clears them all, in any order: with c_k =
+        vec[k]*l (l clearing denominators) and p_k the pivot coefficient
+        of row r_k, the pass leaves P*l*vec - sum_k c_k*(P/p_k)*r_k, P =
+        prod p_k, which is symmetric in the rows; m = P*l.  No common
+        factor is divided out.  vec itself is not modified.
         """
-        v, scale = self._cleared(vec)
+        v, m = self._cleared(vec)
         rows = self.rows
         for k in [k for k in v if k in rows]:
             row = rows[k].vec
@@ -146,19 +136,16 @@ class Echelon:
             if p != 1:
                 for kk, x in v.items():
                     v[kk] = x * p
-                scale = scale * p
+                m *= p
             add_scaled(v, row, -c)
-        g = gcd(*v.values())
-        if g > 1:
-            v = {k: x // g for k, x in v.items()}
-            scale = _div(scale, g)
-        return v, scale
+        return v, m
 
     def insert(self, vec):
         """Add vec to the span; returns whether the span grew."""
         v = self.reduce(vec)[0]
         if not v:
             return False
+        v = _content_one(v)
         k = min(v)
         sign = 1 if v[k] > 0 else -1
         new = _Row({kk: sign * x for kk, x in v.items()})
@@ -265,9 +252,11 @@ class SubquotientBasis:
 
     def express(self, vec):
         """Rep coefficients of the class of vec, or None if vec is not a
-        cycle.  A cycle {f: 1} is subtracted by deleting f, and with
-        integer coordinates (scale 1) the residual is the answer, so
-        neither step builds a Fraction.  vec itself is not modified."""
+        cycle.  A cycle {f: 1} is subtracted by deleting f.  The boundary
+        echelon reduces the coordinates to (residual, m) and the answer is
+        residual/m, so only a multiplier m != 1 (a fractional coordinate
+        or a non-unit pivot met) builds a Fraction.  vec itself is not
+        modified."""
         index, coords, rest = self._coordinate, {}, dict(vec)
         cycles = self.cycles
         for k, c in vec.items():
@@ -282,9 +271,9 @@ class SubquotientBasis:
             return None  # not a cycle: vec != sum_j vec[f_j] z_j
         if not coords:
             return {}
-        residual, scale = self.echelon.reduce(coords)
+        residual, m = self.echelon.reduce(coords)
         rep = self._rep_index
-        return {rep[j]: x if scale == 1 else _div(x, scale)
+        return {rep[j]: x if m == 1 else _div(x, m)
                 for j, x in sorted(residual.items(), reverse=True)}
 
     def is_boundary(self, vec):

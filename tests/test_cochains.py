@@ -5,13 +5,13 @@ import random
 import pytest
 
 from conftest import MODEL_IDS, model, random_cochain, slice_bases
-from looptop.bar import bar_slice
+from looptop.bar import bar_d_squared_zero, bar_slice
 from looptop.cochains import (Cochain, DualCochain, GradingError,
-                              _delta_entry_dual, assemble_complex, cup,
+                              _delta_entry, assemble_complex, cup,
                               delta_squared_zero, delta_to_A, delta_to_dual,
                               hochschild_homology, loop_homology,
                               slice_complete, unit_cochain)
-from looptop.dga import DGA, builtin_model
+from looptop.dga import DGA, build_dga, builtin_model
 from looptop.linalg import acc
 
 
@@ -66,6 +66,36 @@ def test_delta_squared_zero_quick():
         top = A.top_degree
         assert delta_squared_zero(A, "to_A", (-top, 5), 4), mid
         assert delta_squared_zero(A, "to_dual", (0, 5), 4), mid
+
+
+def test_square_checks_fire_on_a_broken_differential():
+    """d(a) = b and d(b) = c on 1, a, b, c of degrees 0, 2, 3, 4, so
+    d^2(a) = c.  Each check holds on the one-slice window just below the
+    first square that meets d^2, and fails on that window: the bar word
+    (a) of degree 1 goes to (c); the to-A entry ((), a) of degree -2 to
+    ((), c), in the window n = -3 (degrees -2 -> -3 -> -4); the dual
+    entry ((c), 1) of degree 3 to ((a), 1), in the window n = 2."""
+    names = ["1", "a", "b", "c"]
+    doc = {
+        "name": "d-squared-broken",
+        "basis": [{"name": n, "degree": q}
+                  for n, q in zip(names, (0, 2, 3, 4))],
+        "unit": "1",
+        "differential": [{"from": "a", "to": {"b": "1"}},
+                         {"from": "b", "to": {"c": "1"}}],
+        "products": [{"left": "1", "right": n, "result": {n: "1"}}
+                     for n in names] +
+                    [{"left": n, "right": "1", "result": {n: "1"}}
+                     for n in names[1:]],
+        "top_degree": 4,
+    }
+    A = build_dga(doc)
+    assert bar_d_squared_zero(A, 3, (0, 0))
+    assert not bar_d_squared_zero(A, 3, (1, 1))
+    assert delta_squared_zero(A, "to_A", (-4, -4), 3)
+    assert not delta_squared_zero(A, "to_A", (-3, -3), 3)
+    assert delta_squared_zero(A, "to_dual", (1, 1), 3)
+    assert not delta_squared_zero(A, "to_dual", (2, 2), 3)
 
 
 def test_delta_lowers_degree_in_both_variants():
@@ -270,7 +300,7 @@ def _disconnected_model():
 
 
 def test_coboundary_columns_match_reference():
-    """Bar slices, both cochain slices, _delta_entry_dual and delta_to_dual
+    """Bar slices, both cochain slices, _delta_entry and delta_to_dual
     equal test-local reference loops column by column, dict key order
     included.  The models alternate innermost, so a term table cached for
     one model and served to another would show."""
@@ -299,7 +329,7 @@ def test_coboundary_columns_match_reference():
                 for key, col in dual.delta_columns.items():
                     ref = list(_reference_entry_dual(A, *key, cutoff).items())
                     assert list(col.items()) == ref, (A.label, n, cutoff, key)
-                    entry = _delta_entry_dual(A, *key, cutoff)
+                    entry = _delta_entry(A, "to_dual", *key, cutoff)
                     assert list(entry.items()) == ref
                     image = delta_to_dual(A, DualCochain(A, {key: 1}), cutoff)
                     assert list(image.entries.items()) == ref

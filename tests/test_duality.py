@@ -7,7 +7,7 @@ import pytest
 from conftest import MODEL_IDS, model, random_cochain, slice_bases
 from looptop import builtin_model
 from looptop.cochains import (Cochain, DualCochain, GradingError,
-                              _delta_entry_dual, cup, delta_to_A,
+                              _delta_entry, cup, delta_to_A,
                               delta_to_dual, hochschild_homology)
 from looptop.dga import build_dga, dga_to_doc
 from looptop.duality import (BracketModelError, CycleError, NotInImageError,
@@ -313,7 +313,7 @@ def _reference_delta_to_dual(A, phi, cutoff):
     """The dual coboundary summed entry by entry, nothing memoised."""
     out = {}
     for (v, b), c in phi.entries.items():
-        for key, y in _delta_entry_dual(A, v, b, cutoff).items():
+        for key, y in _delta_entry(A, "to_dual", v, b, cutoff).items():
             acc(out, key, c * y)
     return out
 
