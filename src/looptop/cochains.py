@@ -15,7 +15,9 @@ boundary's A._cache["preimages"] (per letter).  delta_to_dual and
 duality.connes_B, which every bracket calls, memoise their basis columns
 on the model for its lifetime: A._cache["delta_dual"] keyed by (word,
 test index, word shorter than the cutoff) and A._cache["rotation"] keyed
-by word.
+by word; duality.bracket adds A._cache["bracket_table"].  Operators whose
+outputs are homogeneous by construction make them with _Cochain._trusted,
+which skips the grading scan of the public constructors.
 """
 
 from .linalg import acc, add_scaled, compose_columns, homology
@@ -55,11 +57,19 @@ class _Cochain:
     def weight_support(self):
         return max((len(w) for w, _ in self.entries), default=0)
 
-    def scale(self, c):
-        out = self.__class__.__new__(self.__class__)
-        out.entries = {k: c * v for k, v in self.entries.items()} if c else {}
-        out.degree = self.degree
+    @classmethod
+    def _trusted(cls, entries, degree):
+        """A cochain over entries its caller built homogeneous of this
+        degree, with no zero coefficient: the grading scan is skipped."""
+        out = cls.__new__(cls)
+        out.entries = entries
+        out.degree = degree
         return out
+
+    def scale(self, c):
+        return self._trusted(
+            {k: c * v for k, v in self.entries.items()} if c else {},
+            self.degree)
 
     def add(self, other):
         if self.__class__ is not other.__class__:
@@ -67,20 +77,11 @@ class _Cochain:
         if self.entries and other.entries and self.degree != other.degree:
             raise GradingError(
                 f"cannot add degrees {self.degree} and {other.degree}")
-        out = self.__class__.__new__(self.__class__)
-        out.entries = add_scaled(dict(self.entries), other.entries)
-        out.degree = self.degree if self.entries else other.degree
-        return out
+        return self._trusted(add_scaled(dict(self.entries), other.entries),
+                             self.degree if self.entries else other.degree)
 
     def sub(self, other):
         return self.add(other.scale(-1))
-
-    def restrict_weight(self, cutoff):
-        out = self.__class__.__new__(self.__class__)
-        out.entries = {k: v for k, v in self.entries.items()
-                       if len(k[0]) <= cutoff}
-        out.degree = self.degree
-        return out
 
     def __eq__(self, other):
         if self.__class__ is not other.__class__:
@@ -191,7 +192,7 @@ def delta_to_A(A, phi, weight_cutoff):
     for (v, a), c in phi.entries.items():
         for key, y in _delta_entry(A, "to_A", v, a, weight_cutoff).items():
             acc(out, key, c * y)
-    return Cochain(A, out, degree=phi.degree - 1)
+    return Cochain._trusted(out, phi.degree - 1)
 
 
 def delta_to_dual(A, phi, weight_cutoff):
@@ -209,7 +210,7 @@ def delta_to_dual(A, phi, weight_cutoff):
         if col is None:
             col = memo[key] = _delta_entry(A, "to_dual", v, b, weight_cutoff)
         add_scaled(out, col, c)
-    return DualCochain(A, out, degree=phi.degree - 1)
+    return DualCochain._trusted(out, phi.degree - 1)
 
 
 def cup(A, phi1, phi2, weight_cutoff):
@@ -236,7 +237,7 @@ def cup(A, phi1, phi2, weight_cutoff):
             w = v1 + v2
             for k, cm in prod.items():
                 acc(out, (w, k), sign * c1 * c2 * cm)
-    return Cochain(A, out, degree=n1 + n2)
+    return Cochain._trusted(out, n1 + n2)
 
 
 def slice_complete(A, variant, degree, weight_cutoff):

@@ -8,7 +8,9 @@ the basis-level orientation pairing is invertible in every degree, which
 holds for the closed builtin models.  The rotation operator B cycles a
 word through the test slot (dropping weight by one, raising degree by
 one), and the bracket of two degree-0 dual classes is
--P(P^{-1}B(c1) ∪ P^{-1}B(c2)).
+-P(P^{-1}B(c1) ∪ P^{-1}B(c2)).  P and P^{-1} act on the test slot only,
+so bracket evaluates what follows B as one product of the two rotated
+cochains through a per-model table, A._cache["bracket_table"].
 """
 
 import itertools
@@ -89,7 +91,7 @@ def poincare_P(A, phi):
     for (w, a), c in phi.entries.items():
         for b, v in forward[a].items():
             acc(out, (w, b), c * v)
-    return DualCochain(A, out, degree=phi.degree + A.top_degree)
+    return DualCochain._trusted(out, phi.degree + A.top_degree)
 
 
 def poincare_P_chain_inverse(A, psi):
@@ -102,7 +104,7 @@ def poincare_P_chain_inverse(A, psi):
     for (w, b), c in psi.entries.items():
         for a, v in inverse[b].items():
             acc(out, (w, a), c * v)
-    return Cochain(A, out, degree=psi.degree - A.top_degree)
+    return Cochain._trusted(out, psi.degree - A.top_degree)
 
 
 def _rotation(A, u):
@@ -146,7 +148,7 @@ def connes_B(A, phi, p):
             continue
         for key, sign in _rotation(A, u):
             acc(out, key, sign * c)
-    return DualCochain(A, out, degree=phi.degree + 1)
+    return DualCochain._trusted(out, phi.degree + 1)
 
 
 class SymplecticBasis:
@@ -221,6 +223,28 @@ def _check_bracket_inputs(A, c1, c2, p, q):
     return symp
 
 
+def _bracket_table(A):
+    """T[l][r] = -P(P^{-1} e_l ∪ P^{-1} e_r) on the dual basis cochains
+    e_b = {((), b): 1}, as (test index, coefficient) pairs with cup's
+    Koszul sign on the pair, (-1)^{(|l| - top)(|r| - top)}, taken back
+    out.  Built once through the public operators and memoised on the
+    model under "bracket_table"."""
+    table = A._cache.get("bracket_table")
+    if table is None:
+        deg, top = A.degrees, A.top_degree
+        inv = [poincare_P_chain_inverse(A, DualCochain(A, {((), b): 1}))
+               for b in range(A.dim)]
+
+        def entry(l, r):
+            y = poincare_P(A, cup(A, inv[l], inv[r], 0))
+            s = 1 if (deg[l] - top) * (deg[r] - top) % 2 else -1
+            return tuple((b, s * t) for (_, b), t in y.entries.items())
+
+        table = A._cache["bracket_table"] = tuple(
+            tuple(entry(l, r) for r in range(A.dim)) for l in range(A.dim))
+    return table
+
+
 def bracket(A, c1, c2, p, q, eval_cutoff=None):
     """String bracket of two degree-0 dual classes.
 
@@ -229,6 +253,13 @@ def bracket(A, c1, c2, p, q, eval_cutoff=None):
     <= p + q - 2; passing eval_cutoff truncates the output further, which
     is cheaper when only a low window is compared.  The rotated inputs
     are checked to be cocycles in their truncated complexes.
+
+    P and P^{-1} act on the test slot word by word, so after B the
+    composite is one product of the two rotated cochains through the
+    per-model table T of _bracket_table.  Entries (v1, l): x1 of B c1
+    and (v2, r): x2 of B c2 with len(v1 v2) within the output cutoff add
+    x1·x2·T[l][r] at the word v1 v2, with cup's Koszul sign
+    (-1)^{n1 (n2 + bar degree of v2)}, n_i = deg(B c_i) - top.
     """
     _check_bracket_inputs(A, c1, c2, p, q)
     out_cutoff = p + q - 2
@@ -240,10 +271,23 @@ def bracket(A, c1, c2, p, q, eval_cutoff=None):
         raise CycleError("rotated first argument is not a cocycle")
     if not delta_to_dual(A, b2, weight_cutoff=q - 1).is_zero:
         raise CycleError("rotated second argument is not a cocycle")
-    x1 = poincare_P_chain_inverse(A, b1)
-    x2 = poincare_P_chain_inverse(A, b2)
-    y = cup(A, x1, x2, weight_cutoff=out_cutoff)
-    return poincare_P(A, y).scale(-1)
+    table = _bracket_table(A)  # raises NotInImageError, as P^{-1} does
+    n1, n2 = b1.degree - A.top_degree, b2.degree - A.top_degree
+    right = [(len(v2), v2, r,
+              -x2 if n1 * (n2 + bar_degree(A, v2)) % 2 else x2)
+             for (v2, r), x2 in b2.entries.items()]
+    out = {}
+    for (v1, l), x1 in b1.entries.items():
+        room = out_cutoff - len(v1)
+        row = table[l]
+        for len2, v2, r, x2 in right:
+            terms = row[r]
+            if len2 > room or not terms:
+                continue
+            w, x = v1 + v2, x1 * x2
+            for b, t in terms:
+                acc(out, (w, b), x * t)
+    return DualCochain._trusted(out, b1.degree + b2.degree - A.top_degree)
 
 
 def e1_bracket(A, c1, c2, p, q):

@@ -54,3 +54,9 @@ def random_cochain(A, rng, bases, variant="to_A", degree=None, terms=3):
             entries[k] = c
     cls = Cochain if variant == "to_A" else DualCochain
     return cls(A, entries, degree=degree)
+
+
+def restrict_weight(A, phi, cutoff):
+    """phi with its entries on words longer than the cutoff dropped."""
+    return type(phi)(A, {k: v for k, v in phi.entries.items()
+                         if len(k[0]) <= cutoff}, degree=phi.degree)

@@ -232,6 +232,25 @@ def test_bracket_table_torus(capsys):
     assert len(lines) == 2 + 36 + 1
 
 
+# exit code and sha256 of the full stdout, recorded while bracket still ran
+# every cochain operation of the composite on every call
+BRACKET_FROZEN = {
+    ("torus:2", "3", "tsv"): (
+        0, "100ed2886d4149e3ba348e5f3462a398b377e17baccd23beef4bf2f8faf7898e"),
+    ("surface:1", "3", "json"): (
+        0, "c0d40af64beb07ceda26ec560cacc39942ace2b513168b3cbf266cc17b6fc865"),
+    ("surface:2", "2", "tsv"): (
+        0, "3102da26b32f400f446277db0313e496b7207f292cef8562f382ab7411599b12"),
+}
+
+
+def test_bracket_frozen(capsys):
+    for (mid, p, fmt), want in BRACKET_FROZEN.items():
+        code, out, _ = run(capsys, ["bracket", "--model", mid, "--p", p,
+                                    "--format", fmt])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == want, mid
+
+
 def test_bracket_rejects_bad_p(capsys):
     code, _, _ = run(capsys, ["bracket", "--model", "torus:2", "--p", "0"])
     assert code == 2

@@ -4,15 +4,16 @@ import random
 
 import pytest
 
-from conftest import MODEL_IDS, model, random_cochain, slice_bases
+from conftest import (MODEL_IDS, model, random_cochain, restrict_weight,
+                      slice_bases)
 from looptop import builtin_model
 from looptop.cochains import (Cochain, DualCochain, GradingError,
-                              _delta_entry, cup, delta_to_A,
-                              delta_to_dual, hochschild_homology)
+                              _delta_entry, assemble_complex, cup,
+                              delta_to_A, delta_to_dual, hochschild_homology)
 from looptop.dga import build_dga, dga_to_doc
 from looptop.duality import (BracketModelError, CycleError, NotInImageError,
-                             bracket, chain_pairing_invertible, connes_B,
-                             e1_bracket, e1_term, poincare_P,
+                             _pairing, bracket, chain_pairing_invertible,
+                             connes_B, e1_bracket, e1_term, poincare_P,
                              poincare_P_chain_inverse, symplectic_basis)
 from looptop.linalg import acc
 
@@ -210,7 +211,7 @@ def test_bracket_windowing_consistency():
     x, y = classes[1], classes[2]
     full = bracket(t2, x, y, 3, 3)
     narrowed = bracket(t2, x, y, 3, 3, eval_cutoff=2)
-    assert full.restrict_weight(2).entries == narrowed.entries
+    assert restrict_weight(t2, full, 2).entries == narrowed.entries
 
 
 def test_bracket_needs_surface_like_model():
@@ -225,8 +226,9 @@ def _h0_classes(A, cutoff):
     return [DualCochain(A, dict(v), degree=0) for v in h.representatives]
 
 
-def _torus_with_broken_unit():
-    """torus:2 with 1·x1 = x1 + x2 (fails validate_dga).
+def _torus_with_broken_unit(model_id="torus:2"):
+    """torus:2 (or a model with its letters, such as its acyclic
+    extension) with 1·x1 = x1 + x2 (fails validate_dga).
 
     On torus:2 itself every degree-0 dual cochain rotates to a cocycle:
     the degree -1 slice is empty and the prepend and append terms of the
@@ -234,7 +236,7 @@ def _torus_with_broken_unit():
     rotating (x2, x2) at p = 3 leaves a cochain that is not a cocycle,
     while at p = 2 the cutoff drops the terms that do not cancel.  The
     symplectic basis and the pairing inverse are those of torus:2."""
-    doc = dga_to_doc(builtin_model("torus:2"))
+    doc = dga_to_doc(builtin_model(model_id))
     for entry in doc["products"]:
         if (entry["left"], entry["right"]) == ("1", "x1"):
             entry["result"] = {"x1": "1", "x2": "1"}
@@ -277,6 +279,28 @@ def test_warm_caches_do_not_mask_bracket_checks():
     for _ in range(2):
         with pytest.raises(BracketModelError, match="top degree 3 != 2"):
             symplectic_basis(s3)
+
+
+def test_bracket_errors_keep_their_order():
+    """The model gate before the grading gate, and the cocycle checks
+    before the pairing: acyclic_extension(torus(2)) has a symplectic basis
+    but no chain-invertible pairing, and with its unit broken the rotated
+    inputs at p = 3 are not cocycles."""
+    s2 = builtin_model("sphere:2")
+    with pytest.raises(BracketModelError):
+        bracket(s2, Cochain(s2, {}, degree=1), Cochain(s2, {}), 0, 0)
+    A = _torus_with_broken_unit("acyclic_extension:torus:2")
+    x1, x2 = A.index("x1"), A.index("x2")
+    c = DualCochain(A, {((x2, x2), A.unit): 1}, degree=0)
+    top = DualCochain(A, {((x1, x2, x1), A.unit): 1}, degree=0)
+    with pytest.raises(GradingError, match="stated filtration"):
+        bracket(A, top, c, 2, 3)
+    with pytest.raises(CycleError, match="rotated first argument"):
+        bracket(A, c, top, 3, 3)
+    with pytest.raises(CycleError, match="rotated second argument"):
+        bracket(A, top, c, 3, 3)
+    with pytest.raises(NotInImageError, match="not chain-invertible"):
+        bracket(A, c, c, 2, 2)
 
 
 def _reference_connes_B(A, phi):
@@ -398,3 +422,118 @@ def test_memos_are_per_model():
                 assert rotated.entries == _reference_connes_B(A, phi)
                 assert delta_to_dual(A, rotated, cutoff).entries == (
                     _reference_delta_to_dual(A, rotated, cutoff)), (u, cutoff)
+
+
+def _reference_bracket(A, c1, c2, p, q, eval_cutoff=None):
+    """-P(P^{-1}B c1 ∪ P^{-1}B c2) from the entrywise references and the
+    pairing table, with nothing memoised."""
+    forward, inverse = _pairing(A)
+    top = A.top_degree
+    cutoff = p + q - 2
+    if eval_cutoff is not None:
+        cutoff = min(cutoff, eval_cutoff)
+
+    def rotated_preimage(c):
+        out = {}
+        for (w, b), x in _reference_connes_B(A, c).items():
+            for a, v in inverse[b].items():
+                acc(out, (w, a), x * v)
+        return Cochain(A, out, degree=c.degree + 1 - top)
+
+    x1, x2 = rotated_preimage(c1), rotated_preimage(c2)
+    out = {}
+    for (w, a), x in _reference_cup(A, x1, x2, cutoff).items():
+        for b, v in forward[a].items():
+            acc(out, (w, b), -x * v)
+    return DualCochain(A, out, degree=x1.degree + x2.degree + top)
+
+
+def test_bracket_matches_reference_composite():
+    """The fused bracket against the composite of the references on
+    seeded pairs of scaled classes and of sums of classes, of equal and
+    unequal filtrations, with and without an output cutoff."""
+    rng = random.Random(1613)
+    seen = {"p != q": 0, "cutoff": 0, "[x, x]": 0}
+    for mid, top_p in (("torus:2", 4), ("surface:1", 3), ("surface:2", 3)):
+        A = builtin_model(mid)
+        classes = {p: _h0_classes(A, p) for p in range(1, top_p + 1)}
+        for _ in range(60):
+            p, q = rng.randint(1, top_p), rng.randint(1, top_p)
+            x = rng.choice(classes[p]).scale(rng.choice((-2, 1, 3)))
+            y = rng.choice(classes[q]).scale(rng.choice((-1, 1, 5)))
+            if rng.random() < 0.5:  # sums make terms cancel
+                x = x.add(rng.choice(classes[p]))
+                y = y.add(rng.choice(classes[q]))
+            # [x, x] is where the most terms cancel
+            for x2, q2 in ((y, q), (x, p)):
+                for cutoff in (None, rng.randint(0, p + q2 - 2)):
+                    got = bracket(A, x, x2, p, q2, eval_cutoff=cutoff)
+                    want = _reference_bracket(A, x, x2, p, q2, cutoff)
+                    assert got.entries == want.entries, (mid, p, q2, cutoff)
+                    assert got.degree == want.degree == 0
+                    if not got.is_zero:
+                        seen["p != q"] += p != q2
+                        seen["cutoff"] += cutoff is not None
+                        seen["[x, x]"] += x2 is x
+    assert all(n > 20 for n in seen.values()), seen
+
+
+def test_unscanned_outputs_pass_the_public_check():
+    """Every operator output made without the grading scan is one the
+    public constructor accepts unchanged: homogeneous of its degree, with
+    no zero coefficient."""
+    rng = random.Random(2203)
+    nonzero = {}
+
+    def check(name, A, out):
+        assert type(out)(A, out.entries, degree=out.degree) == out, name
+        nonzero[name] = nonzero.get(name, 0) + (not out.is_zero)
+
+    for mid in ("complex_projective:2", "sphere:3",
+                "acyclic_extension:sphere:3"):
+        A = builtin_model(mid)
+        dual = slice_bases(A, "to_dual", (0, 7), 3)
+        to_A = slice_bases(A, "to_A", (-A.top_degree, 5), 3)
+        invertible = chain_pairing_invertible(A)
+        for _ in range(20):
+            psi = random_cochain(A, rng, dual, variant="to_dual", terms=5)
+            phi1 = random_cochain(A, rng, to_A, terms=4)
+            phi2 = random_cochain(A, rng, to_A, terms=4)
+            check("connes_B", A, connes_B(A, psi, 3))
+            check("delta_to_dual", A, delta_to_dual(A, psi, rng.randint(0, 4)))
+            check("delta_to_A", A, delta_to_A(A, phi1, rng.randint(0, 4)))
+            check("cup", A, cup(A, phi1, phi2, rng.randint(0, 6)))
+            check("poincare_P", A, poincare_P(A, phi1))
+            if invertible:
+                check("poincare_P_chain_inverse", A,
+                      poincare_P_chain_inverse(A, psi))
+            check("scale", A, psi.scale(rng.choice((0, -1, 2))))
+            check("add", A, phi1.add(phi1.scale(-1)))
+            if phi1.degree == phi2.degree:
+                check("add", A, phi1.add(phi2))
+    t2 = builtin_model("torus:2")
+    classes = _h0_classes(t2, 3)
+    for _ in range(40):
+        # sums of classes make terms of the bracket cancel
+        x = rng.choice(classes).add(rng.choice(classes))
+        y = rng.choice(classes).add(rng.choice(classes).scale(-2))
+        check("bracket", t2, bracket(t2, x, y, 3, 3))
+        check("bracket", t2, bracket(t2, x, x, 3, 3))
+    assert len(nonzero) == 9 and all(nonzero.values()), nonzero
+
+
+def test_rotated_degree0_basis_cochains_are_cocycles():
+    """Every degree-0 dual basis cochain of the builtin surfaces rotates
+    to a cocycle, so neither cocycle check in bracket can fire on them:
+    the degree -1 dual slice is empty and the prepend and append terms of
+    consecutive rotations cancel in pairs.  Both checks stay in bracket,
+    where a model whose unit does not act as one still reaches them."""
+    for mid in ("torus:2", "surface:1", "surface:2"):
+        A = builtin_model(mid)
+        for p in (1, 2, 3):
+            rotated = 0
+            for key in assemble_complex(A, "to_dual", 0, p).basis:
+                b = connes_B(A, DualCochain(A, {key: 1}), p)
+                assert delta_to_dual(A, b, p - 1).is_zero, (mid, p, key)
+                rotated += not b.is_zero
+            assert rotated, (mid, p)
