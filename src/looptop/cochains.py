@@ -12,10 +12,12 @@ complex.  Coboundaries are computed entrywise: a basis cochain's column is
 read off term tables built once per model with their signs worked out,
 A._cache["coboundary_terms"] (per flavour and value index) and the bar
 boundary's A._cache["preimages"] (per letter).  delta_to_dual and
-duality.connes_B, which every bracket calls, memoise their basis columns
-on the model for its lifetime: A._cache["delta_dual"] keyed by (word,
-test index, word shorter than the cutoff) and A._cache["rotation"] keyed
-by word; duality.bracket adds A._cache["bracket_table"].  Operators whose
+duality.connes_B memoise their basis columns on the model for its
+lifetime: A._cache["delta_dual"] keyed by (word, test index, word shorter
+than the cutoff) and A._cache["rotation"] keyed by word.  duality.bracket
+adds A._cache["bracket_table"] and, for its cocycle checks,
+A._cache["rotation_delta"]: δ∘B on the dual basis cochain (word, unit),
+keyed by (word, word shorter than the filtration p).  Operators whose
 outputs are homogeneous by construction make them with _Cochain._trusted,
 which skips the grading scan of the public constructors.
 """
@@ -169,16 +171,19 @@ def _coboundary_terms(A, variant):
     return table
 
 
-def _delta_entry(A, variant, v, val, cutoff):
-    """Coboundary of the basis cochain supported at (v, val)."""
+def _delta_entry(A, variant, v, val, cutoff, preimages=None):
+    """Coboundary of the basis cochain supported at (v, val).  A caller
+    with several values for one word passes preimages, the word's
+    boundary_preimages(A, v, cutoff), computed once."""
     vals, sign, ends = _coboundary_terms(A, variant)[val]
+    if preimages is None:
+        preimages = boundary_preimages(A, v, cutoff)
     out = {}
     for k, c in vals:
         acc(out, (v, k), c)
     # transposed bar boundary, sign (-1)^{|val|} in both flavours; its
     # words differ from v, so no key is in out yet
-    out.update(((w, val), sign * mu)
-               for w, mu in boundary_preimages(A, v, cutoff).items())
+    out.update(((w, val), sign * mu) for w, mu in preimages.items())
     # prepend / append a letter, absorbing it into the value
     if len(v) < cutoff:
         for ell, k, c, front in ends[bar_degree(A, v) % 2]:
@@ -294,9 +299,15 @@ def assemble_complex(A, variant, degree, weight_cutoff):
             for val in values:
                 basis.append((w, val))
     basis.sort(key=lambda key: (len(key[0]), key[0], key[1]))
-    delta_columns = {key: _delta_entry(A, variant, key[0], key[1],
-                                       weight_cutoff)
-                     for key in basis}
+    # the keys of one word are adjacent: its bar boundary is read once
+    delta_columns = {}
+    v = None
+    for key in basis:
+        w, val = key
+        if w != v:
+            v, preimages = w, boundary_preimages(A, w, weight_cutoff)
+        delta_columns[key] = _delta_entry(A, variant, w, val, weight_cutoff,
+                                          preimages)
     return ComplexSlice(variant, degree, weight_cutoff, tuple(basis),
                         delta_columns,
                         slice_complete(A, variant, degree, weight_cutoff))

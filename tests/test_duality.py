@@ -110,6 +110,21 @@ def test_connes_B_needs_unit_value_slot():
     assert connes_B(t2, psi, 3).is_zero
 
 
+def test_connes_B_weight_gate_reports_the_maximum_weight():
+    """The gate runs inside the rotation loop, before the unit-slot skip:
+    a too-long entry with a non-unit test index, after a short one and
+    before a longer one, still raises, and the message gives the
+    cochain's weight, not the length of the first word over p."""
+    t2 = model("torus:2")
+    x1, x2 = t2.index("x1"), t2.index("x2")
+    psi = DualCochain(t2, {((x1,), x2): 1, ((x1, x2, x1), x2): 1,
+                           ((x1, x2, x1, x2), x1): 1, ((x2,), x1): 1})
+    with pytest.raises(GradingError) as err:
+        connes_B(t2, psi, 2)
+    assert str(err.value) == "cochain has weight 4, expected <= 2"
+    assert connes_B(t2, psi, 4).entries == {}
+
+
 def test_symplectic_basis_frozen():
     t2 = model("torus:2")
     sy = symplectic_basis(t2)
@@ -537,3 +552,82 @@ def test_rotated_degree0_basis_cochains_are_cocycles():
                 assert delta_to_dual(A, b, p - 1).is_zero, (mid, p, key)
                 rotated += not b.is_zero
             assert rotated, (mid, p)
+
+
+def _with_degree0_test_index(A):
+    """A with one more degree-0 basis element z, acted on by the unit
+    only: degree-0 dual cochains may then carry the test index z, which
+    connes_B skips.  z pairs with nothing, so the pairing is not
+    chain-invertible and bracket ends in NotInImageError once its
+    cocycle checks pass."""
+    doc = dga_to_doc(A)
+    doc["basis"].append({"name": "z", "degree": 0})
+    doc["products"] += [{"left": "1", "right": "z", "result": {"z": "1"}},
+                        {"left": "z", "right": "1", "result": {"z": "1"}}]
+    return build_dga(doc)
+
+
+def test_memoised_cocycle_checks_match_the_direct_ones():
+    """bracket raises CycleError exactly when delta_to_dual(connes_B(c, p),
+    p - 1) is nonzero, for the first argument before the second, on
+    seeded degree-0 dual cochains.  Each cochain is checked at p and then
+    at p + 1, where its longest words gain their weight-raising terms: a
+    memo key without len(u) < p serves the stale column.  On the
+    broken-unit torus the nonzero columns of two rotations of one word
+    cancel, so their difference passes both checks."""
+    rng = random.Random(1717)
+    broken = _torus_with_broken_unit()
+    models = [builtin_model("torus:2"), builtin_model("surface:1"),
+              builtin_model("surface:2"), broken,
+              _torus_with_broken_unit("acyclic_extension:torus:2"),
+              _with_degree0_test_index(broken)]
+    seen = {"cycle_error": 0, "flips": 0, "non_unit": 0}
+
+    def rotates_to_cocycle(A, c, p):
+        return delta_to_dual(A, connes_B(A, c, p), p - 1).is_zero
+
+    def check(A, c1, c2, p):
+        if not rotates_to_cocycle(A, c1, p):
+            want = "rotated first argument"
+        elif not rotates_to_cocycle(A, c2, p):
+            want = "rotated second argument"
+        else:
+            want = None
+        try:
+            bracket(A, c1, c2, p, p)
+            got = None
+        except CycleError as err:
+            got = str(err)
+        except NotInImageError:
+            got = None
+        assert (got is None if want is None else got.startswith(want)), (
+            A.label, p, c1.entries, c2.entries, got)
+        seen["cycle_error"] += want is not None
+        return want is None
+
+    for A in models:
+        for p in (2, 3, 4):
+            basis = assemble_complex(A, "to_dual", 0, p).basis
+            cochains = [DualCochain(A, {key: 1}) for key in basis]
+            for _ in range(40):
+                keys = rng.sample(basis, min(len(basis), rng.randint(1, 5)))
+                cochains.append(DualCochain(
+                    A, {key: rng.choice((-3, -2, -1, 1, 2, 3))
+                        for key in keys}))
+            rng.shuffle(cochains)
+            for c1, c2 in zip(cochains, cochains[1:] + cochains[:1]):
+                seen["non_unit"] += any(b != A.unit for _, b in c1.entries)
+                before = check(A, c1, c2, p)
+                seen["flips"] += before != check(A, c1, c2, p + 1)
+    assert all(seen.values()), seen
+
+    x1, x2 = broken.index("x1"), broken.index("x2")
+    u, v = (x2, x1, x2), (x1, x2, x2)
+    zero = DualCochain(broken, {}, degree=0)
+    for w in (u, v):
+        with pytest.raises(CycleError, match="rotated first argument"):
+            bracket(broken, DualCochain(broken, {(w, broken.unit): 1}),
+                    zero, 4, 4)
+    cancel = DualCochain(broken, {(u, broken.unit): 1, (v, broken.unit): -1})
+    assert rotates_to_cocycle(broken, cancel, 4)
+    bracket(broken, cancel, zero, 4, 4)
