@@ -171,19 +171,16 @@ def _coboundary_terms(A, variant):
     return table
 
 
-def _delta_entry(A, variant, v, val, cutoff, preimages=None):
-    """Coboundary of the basis cochain supported at (v, val).  A caller
-    with several values for one word passes preimages, the word's
-    boundary_preimages(A, v, cutoff), computed once."""
+def _delta_entry(A, variant, v, val, cutoff):
+    """Coboundary of the basis cochain supported at (v, val)."""
     vals, sign, ends = _coboundary_terms(A, variant)[val]
-    if preimages is None:
-        preimages = boundary_preimages(A, v, cutoff)
     out = {}
     for k, c in vals:
         acc(out, (v, k), c)
     # transposed bar boundary, sign (-1)^{|val|} in both flavours; its
     # words differ from v, so no key is in out yet
-    out.update(((w, val), sign * mu) for w, mu in preimages.items())
+    out.update(((w, val), sign * mu)
+               for w, mu in boundary_preimages(A, v, cutoff).items())
     # prepend / append a letter, absorbing it into the value
     if len(v) < cutoff:
         for ell, k, c, front in ends[bar_degree(A, v) % 2]:
@@ -299,15 +296,9 @@ def assemble_complex(A, variant, degree, weight_cutoff):
             for val in values:
                 basis.append((w, val))
     basis.sort(key=lambda key: (len(key[0]), key[0], key[1]))
-    # the keys of one word are adjacent: its bar boundary is read once
-    delta_columns = {}
-    v = None
-    for key in basis:
-        w, val = key
-        if w != v:
-            v, preimages = w, boundary_preimages(A, w, weight_cutoff)
-        delta_columns[key] = _delta_entry(A, variant, w, val, weight_cutoff,
-                                          preimages)
+    delta_columns = {key: _delta_entry(A, variant, key[0], key[1],
+                                       weight_cutoff)
+                     for key in basis}
     return ComplexSlice(variant, degree, weight_cutoff, tuple(basis),
                         delta_columns,
                         slice_complete(A, variant, degree, weight_cutoff))
