@@ -10,9 +10,9 @@ Elimination is integer-only: stored rows are integer vectors with content
 1 and positive pivot, and Echelon.reduce returns an integer residual with
 an int multiplier.  Rationals enter only through kernel vectors and the
 final division in SubquotientBasis.express, and _div is the one place
-that decides a whole rational is an int.  Homology works in the
-coordinates of the cycle basis that kernel_basis returns, so no
-elimination tracks how its rows arise from the inserted vectors.
+a rational is made.  Homology works in the coordinates of the cycle
+basis that kernel_basis returns, so no elimination tracks how its rows
+arise from the inserted vectors.
 """
 
 from fractions import Fraction
@@ -24,9 +24,10 @@ class CompositionError(Exception):
 
 
 def _div(a, b):
-    """a/b exactly: an int when the quotient is whole, else a Fraction."""
-    q = Fraction(a, b)
-    return q.numerator if q.denominator == 1 else q
+    """a/b exactly: an int when the quotient is whole, else a Fraction in
+    lowest terms.  divmod decides, so a whole quotient makes no Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
 
 
 def acc(out, key, c):
@@ -187,7 +188,9 @@ def kernel_basis(columns):
     of the matrix, in ascending order of f: coefficient 1 on f, no other
     non-pivot key, and support otherwise on earlier (pivot) keys only.
     The vectors are read off the rows of the transpose's echelon that
-    hold f.
+    hold f.  The transpose's rows go in by descending row key: the RREF
+    does not depend on insertion order, and this order makes less fill
+    along the way than first appearance does.
     """
     keys = sorted(columns)
     transpose = {}
@@ -195,8 +198,8 @@ def kernel_basis(columns):
         for i, x in columns[k].items():
             transpose.setdefault(i, {})[k] = x
     ech = Echelon()
-    for row in transpose.values():
-        ech.insert(row)
+    for i in sorted(transpose, reverse=True):
+        ech.insert(transpose[i])
     out = []
     for f in keys:
         if f in ech.rows:

@@ -1,15 +1,19 @@
 """Exact sparse linear algebra: echelon forms, kernels, homology."""
 
+import pathlib
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+from conftest import model
+from looptop import linalg
+from looptop.cochains import assemble_complex
 from looptop.linalg import (CompositionError, Echelon, acc, add_scaled,
                             apply_columns, column_rank, compose_columns,
                             homology, kernel_basis, vec_combine,
-                            _content_one, _Row)
+                            _content_one, _div, _Row)
 
 
 def test_vec_helpers_drop_zeros():
@@ -456,6 +460,111 @@ def test_kernel_basis_matches_combo_reference():
     for trial in range(400):
         cols = _random_columns(rng)
         assert kernel_basis(cols) == _kernel_by_combos(cols), trial
+
+
+def _kernel_first_appearance(columns):
+    """Reference kernel_basis: the transpose's rows inserted in the order
+    their keys first appear, and every quotient built as a Fraction and
+    turned into an int when whole."""
+    keys = sorted(columns)
+    transpose = {}
+    for k in keys:
+        for i, x in columns[k].items():
+            transpose.setdefault(i, {})[k] = x
+    ech = Echelon()
+    for row in transpose.values():
+        ech.insert(row)
+    out = []
+    for f in keys:
+        if f in ech.rows:
+            continue
+        vec = {f: 1}
+        for pk in sorted(ech.holders.get(f, ())):
+            r = ech.rows[pk].vec
+            q = Fraction(-r[f], r[pk])
+            vec[pk] = q.numerator if q.denominator == 1 else q
+        out.append(vec)
+    return out
+
+
+def _typed(kernel):
+    return [[(k, type(c), c) for k, c in v.items()] for v in kernel]
+
+
+@pytest.mark.parametrize("model_id, variant, degrees, cutoff", [
+    ("acyclic_extension:sphere:3", "to_A", (-3, 8), 9),
+    ("torus:2", "to_dual", (0, 1), 6),
+    ("surface:2", "to_A", (-2, 2), 3),
+])
+def test_kernel_basis_order_matches_first_appearance(model_id, variant,
+                                                     degrees, cutoff):
+    """Descending row-key insertion gives the same kernel vectors, key
+    order and coefficient types included, as first-appearance insertion,
+    on every slice of a window."""
+    A = model(model_id)
+    for n in range(degrees[0], degrees[1] + 1):
+        cols = assemble_complex(A, variant, n, cutoff).delta_columns
+        assert _typed(kernel_basis(cols)) == _typed(
+            _kernel_first_appearance(cols)), n
+
+
+def test_kernel_basis_order_matches_first_appearance_random():
+    """The same on seeded integer maps with non-unit pivots and dependent
+    columns, where non-whole quotients occur."""
+    rng = random.Random(67)
+    fractions_seen = 0
+    for trial in range(300):
+        nrows = rng.randint(1, 7)
+        cols = {}
+        for j in range(rng.randint(1, 10)):
+            if cols and rng.random() < 0.3:
+                col = {}
+                for other in rng.sample(list(cols.values()),
+                                        min(2, len(cols))):
+                    add_scaled(col, other, rng.randint(-3, 3))
+            else:
+                col = {i: c for i in rng.sample(range(nrows),
+                                                rng.randint(1, nrows))
+                       if (c := rng.choice([0, 1, -1, 2, -3, 4, 5]))}
+            cols[j] = col
+        got = kernel_basis(cols)
+        assert _typed(got) == _typed(_kernel_first_appearance(cols)), trial
+        fractions_seen += sum(type(c) is Fraction
+                              for v in got for c in v.values())
+    assert fractions_seen
+
+
+def test_div_whole_quotients_are_ints():
+    for a, b in [(6, 3), (-6, 3), (6, -3), (-6, -3), (0, 5), (0, -5),
+                 (7, 1), (-7, -1), (3 * 2**80, -2**80),
+                 (Fraction(6, 3), 1), (Fraction(-9, 2), Fraction(3, 2))]:
+        q = _div(a, b)
+        assert type(q) is int and q == Fraction(a, b), (a, b)
+
+
+def test_div_other_quotients_are_fractions_in_lowest_terms():
+    for a, b in [(1, 2), (-1, 2), (1, -2), (-1, -2), (7, -21), (-10, 4),
+                 (2**80 + 1, -2**40), (Fraction(1, 2), 1),
+                 (Fraction(3, 4), Fraction(-1, 2))]:
+        q = _div(a, b)
+        assert type(q) is Fraction and q == Fraction(a, b), (a, b)
+        assert q.denominator > 1, (a, b)
+
+
+def test_div_is_the_one_place_arithmetic_makes_a_fraction():
+    """The only Fraction(...) calls in the package are _div's and the
+    model document's parsing and printing of coefficients."""
+    calls = {}
+    for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
+        lines = [line.strip() for line in path.read_text().splitlines()
+                 if "Fraction(" in line]
+        if lines:
+            calls[path.name] = lines
+    assert calls.pop("linalg.py") == ["return Fraction(a, b) if r else q"]
+    dga_calls = calls.pop("dga.py")
+    assert dga_calls[0] == "c = Fraction(x)"
+    assert all("str(Fraction(c))" in line for line in dga_calls[1:])
+    assert calls == {}
 
 
 def test_homology_matches_tagged_reference():
