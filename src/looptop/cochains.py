@@ -11,15 +11,12 @@ word length, so truncating by a weight cutoff gives an honest subquotient
 complex.  Coboundaries are computed entrywise: a basis cochain's column is
 read off term tables built once per model with their signs worked out,
 A._cache["coboundary_terms"] (per flavour and value index) and the bar
-boundary's A._cache["preimages"] (per letter).  delta_to_dual and
-duality.connes_B memoise their basis columns on the model for its
-lifetime: A._cache["delta_dual"] keyed by (word, test index, word shorter
-than the cutoff) and A._cache["rotation"] keyed by word.  duality.bracket
-adds A._cache["bracket_table"] and, for its cocycle checks,
-A._cache["rotation_delta"]: δ∘B on the dual basis cochain (word, unit),
-keyed by (word, word shorter than the filtration p).  Operators whose
-outputs are homogeneous by construction make them with _Cochain._trusted,
-which skips the grading scan of the public constructors.
+boundary's A._cache["preimages"] (per letter).  The concatenation product
+and its Koszul sign are written once, in _concatenate: cup runs it
+through the algebra's product table, duality.bracket through its own.
+Operators whose outputs are homogeneous by construction make them with
+_Cochain._trusted, which skips the grading scan of the public
+constructors.
 """
 
 from .linalg import acc, add_scaled, compose_columns, homology
@@ -188,58 +185,63 @@ def _delta_entry(A, variant, v, val, cutoff):
     return out
 
 
+def _coboundary(A, phi, weight_cutoff, flavour):
+    """Coboundary of a cochain of the given flavour class; degree drops
+    by one."""
+    if phi.variant != flavour.variant:
+        raise GradingError(f"expected a {flavour.__name__}")
+    out = {}
+    for (v, val), c in phi.entries.items():
+        for key, y in _delta_entry(A, flavour.variant, v, val,
+                                   weight_cutoff).items():
+            acc(out, key, c * y)
+    return flavour._trusted(out, phi.degree - 1)
+
+
 def delta_to_A(A, phi, weight_cutoff):
     """Coboundary of a to-A cochain; degree drops by one."""
-    out = {}
-    for (v, a), c in phi.entries.items():
-        for key, y in _delta_entry(A, "to_A", v, a, weight_cutoff).items():
-            acc(out, key, c * y)
-    return Cochain._trusted(out, phi.degree - 1)
+    return _coboundary(A, phi, weight_cutoff, Cochain)
 
 
 def delta_to_dual(A, phi, weight_cutoff):
-    """Coboundary of a dual cochain; degree drops by one.
-
-    The column of each basis cochain (v, b) is memoised on the model
-    under "delta_dual", keyed by (v, b, len(v) < weight_cutoff): the
-    cutoff only decides whether the weight-raising terms are present.
-    """
-    memo = A._cache.setdefault("delta_dual", {})
-    out = {}
-    for (v, b), c in phi.entries.items():
-        key = (v, b, len(v) < weight_cutoff)
-        col = memo.get(key)
-        if col is None:
-            col = memo[key] = _delta_entry(A, "to_dual", v, b, weight_cutoff)
-        add_scaled(out, col, c)
-    return DualCochain._trusted(out, phi.degree - 1)
+    """Coboundary of a dual cochain; degree drops by one."""
+    return _coboundary(A, phi, weight_cutoff, DualCochain)
 
 
-def cup(A, phi1, phi2, weight_cutoff):
-    """Cup product of two to-A cochains by word concatenation.
-
-    (phi1 ∪ phi2)(uv) = ±phi1(u) ∧ phi2(v) with the Koszul sign
-    (-1)^{|phi1| (|phi2| + bar degree of v)}.
-    """
-    if phi1.variant != "to_A" or phi2.variant != "to_A":
-        raise GradingError("cup is defined on to-A cochains")
-    n1, n2 = phi1.degree, phi2.degree
-    right = [(len(v2), n1 * (n2 + bar_degree(A, v2)) % 2, v2, a2, c2)
+def _concatenate(A, phi1, phi2, n1, n2, cutoff, product):
+    """The concatenation product of two cochains' entries through
+    product, a dict (a1, a2) -> {k: t} in the shape of A.product with
+    zero products left out.  Entries (v1, a1): c1 of phi1 and
+    (v2, a2): c2 of phi2 with len(v1 v2) <= cutoff add c1·c2·t at
+    (v1 v2, k), with the Koszul sign (-1)^{n1 (n2 + bar degree of v2)}:
+    left entries outer, right entries inner, terms in table order."""
+    right = [(len(v2), v2, a2,
+              -c2 if n1 * (n2 + bar_degree(A, v2)) % 2 else c2)
              for (v2, a2), c2 in phi2.entries.items()]
     out = {}
     for (v1, a1), c1 in phi1.entries.items():
-        room = weight_cutoff - len(v1)
-        for len2, odd, v2, a2, c2 in right:
+        room = cutoff - len(v1)
+        for len2, v2, a2, c2 in right:
             if len2 > room:
                 continue
-            prod = A.mul(a1, a2)
-            if not prod:
+            terms = product.get((a1, a2))
+            if not terms:
                 continue
-            sign = -1 if odd else 1
-            w = v1 + v2
-            for k, cm in prod.items():
-                acc(out, (w, k), sign * c1 * c2 * cm)
-    return Cochain._trusted(out, n1 + n2)
+            w, c = v1 + v2, c1 * c2
+            for k, t in terms.items():
+                acc(out, (w, k), c * t)
+    return out
+
+
+def cup(A, phi1, phi2, weight_cutoff):
+    """Cup product of two to-A cochains: their concatenation product
+    through the algebra's product table."""
+    if phi1.variant != "to_A" or phi2.variant != "to_A":
+        raise GradingError("cup is defined on to-A cochains")
+    n1, n2 = phi1.degree, phi2.degree
+    return Cochain._trusted(
+        _concatenate(A, phi1, phi2, n1, n2, weight_cutoff, A.product),
+        n1 + n2)
 
 
 def slice_complete(A, variant, degree, weight_cutoff):
@@ -370,6 +372,8 @@ class LoopHomology:
 
     def express(self, phi):
         """Locate a cocycle's class in the window, or None."""
+        if phi.variant != "to_A":
+            raise GradingError("loop homology classes are to-A cochains")
         pres = self.presentations.get(phi.degree)
         if pres is None:
             return None

@@ -9,7 +9,7 @@ holds for the closed builtin models.  The rotation operator B cycles a
 word through the test slot (dropping weight by one, raising degree by
 one), and the bracket of two degree-0 dual classes is
 -P(P^{-1}B(c1) ∪ P^{-1}B(c2)).  P and P^{-1} act on the test slot only,
-so bracket evaluates what follows B as one product of the two rotated
+so what follows B is cup's concatenation product of the two rotated
 cochains through a per-model table, A._cache["bracket_table"].
 """
 
@@ -23,7 +23,7 @@ from .bar import bar_degree, prefix_degrees, words_by_degree  # noqa: F401
 from .cochains import assemble_complex  # noqa: F401
 from .dga import OrientationError, dga_homology
 from .cochains import (Cochain, DualCochain, GradingError, cup,
-                       delta_to_dual, _delta_entry)
+                       delta_to_dual, _concatenate, _delta_entry)
 
 
 class NotInImageError(ValueError):
@@ -249,24 +249,23 @@ def _rotates_to_cocycle(A, c, p):
 
 
 def _bracket_table(A):
-    """T[l][r] = -P(P^{-1} e_l ∪ P^{-1} e_r) on the dual basis cochains
-    e_b = {((), b): 1}, as (test index, coefficient) pairs with cup's
-    Koszul sign on the pair, (-1)^{(|l| - top)(|r| - top)}, taken back
-    out.  Built once through the public operators and memoised on the
-    model under "bracket_table"."""
+    """T[(l, r)] = -P(P^{-1} e_l ∪ P^{-1} e_r) on the dual basis cochains
+    e_b = {((), b): 1}, as {test index: coefficient} with cup's Koszul
+    sign on the pair, (-1)^{(|l| - top)(|r| - top)}, taken back out: a
+    table in the shape of A.product.  Built once through the public
+    operators and memoised on the model under "bracket_table"."""
     table = A._cache.get("bracket_table")
     if table is None:
         deg, top = A.degrees, A.top_degree
         inv = [poincare_P_chain_inverse(A, DualCochain(A, {((), b): 1}))
                for b in range(A.dim)]
-
-        def entry(l, r):
+        table = {}
+        for l, r in itertools.product(range(A.dim), repeat=2):
             y = poincare_P(A, cup(A, inv[l], inv[r], 0))
             s = 1 if (deg[l] - top) * (deg[r] - top) % 2 else -1
-            return tuple((b, s * t) for (_, b), t in y.entries.items())
-
-        table = A._cache["bracket_table"] = tuple(
-            tuple(entry(l, r) for r in range(A.dim)) for l in range(A.dim))
+            if y.entries:
+                table[(l, r)] = {b: s * t for (_, b), t in y.entries.items()}
+        A._cache["bracket_table"] = table
     return table
 
 
@@ -281,11 +280,9 @@ def bracket(A, c1, c2, p, q, eval_cutoff=None):
     _rotates_to_cocycle.
 
     P and P^{-1} act on the test slot word by word, so after B the
-    composite is one product of the two rotated cochains through the
-    per-model table T of _bracket_table.  Entries (v1, l): x1 of B c1
-    and (v2, r): x2 of B c2 with len(v1 v2) within the output cutoff add
-    x1·x2·T[l][r] at the word v1 v2, with cup's Koszul sign
-    (-1)^{n1 (n2 + bar degree of v2)}, n_i = deg(B c_i) - top.
+    composite is the concatenation product of the two rotated cochains
+    through the per-model table T of _bracket_table, with degrees
+    n_i = deg(B c_i) - top.
     """
     _check_bracket_inputs(A, c1, c2, p, q)
     out_cutoff = p + q - 2
@@ -298,22 +295,10 @@ def bracket(A, c1, c2, p, q, eval_cutoff=None):
     if not _rotates_to_cocycle(A, c2, q):
         raise CycleError("rotated second argument is not a cocycle")
     table = _bracket_table(A)  # raises NotInImageError, as P^{-1} does
-    n1, n2 = b1.degree - A.top_degree, b2.degree - A.top_degree
-    right = [(len(v2), v2, r,
-              -x2 if n1 * (n2 + bar_degree(A, v2)) % 2 else x2)
-             for (v2, r), x2 in b2.entries.items()]
-    out = {}
-    for (v1, l), x1 in b1.entries.items():
-        room = out_cutoff - len(v1)
-        row = table[l]
-        for len2, v2, r, x2 in right:
-            terms = row[r]
-            if len2 > room or not terms:
-                continue
-            w, x = v1 + v2, x1 * x2
-            for b, t in terms:
-                acc(out, (w, b), x * t)
-    return DualCochain._trusted(out, b1.degree + b2.degree - A.top_degree)
+    top = A.top_degree
+    n1, n2 = b1.degree - top, b2.degree - top
+    return DualCochain._trusted(
+        _concatenate(A, b1, b2, n1, n2, out_cutoff, table), n1 + n2 + top)
 
 
 def e1_bracket(A, c1, c2, p, q):

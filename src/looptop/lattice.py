@@ -181,23 +181,14 @@ class Pi1Report:
                 f"h0={self.h0_dim}, match={self.match})")
 
 
-def compare_pi1_dimensions(p, weight_cutoff=None, A=None):
-    """Compare dim of the group ring mod J^p with truncated H_0.
-
-    The matching cutoff is p - 1 (each extra weight layer adds one power
-    of the augmentation ideal); a smaller cutoff cannot see all of the
-    quotient and raises TruncationError.
+def compare_pi1_dimensions(p, A=None):
+    """Compare dim of the group ring mod J^p with H_0 of the dual complex
+    truncated at weight p - 1, the cutoff that matches it: each weight
+    layer adds one power of the augmentation ideal.
     """
     if p < 1:
         raise TruncationError("p must be at least 1")
-    if weight_cutoff is None:
-        weight_cutoff = p - 1
-    if weight_cutoff < p - 1:
-        raise TruncationError(
-            f"truncation too small: need weight cutoff >= {p - 1}, "
-            f"got {weight_cutoff}")
     if A is None:
         A = builtin_model("torus:2")
-    pres = cochains.hochschild_homology(A, "to_dual", (0, 0), weight_cutoff)
-    dim = len(jadic_basis(p))
-    return Pi1Report(p, weight_cutoff, dim, pres[0].betti)
+    pres = cochains.hochschild_homology(A, "to_dual", (0, 0), p - 1)
+    return Pi1Report(p, p - 1, len(jadic_basis(p)), pres[0].betti)

@@ -108,6 +108,24 @@ def test_delta_lowers_degree_in_both_variants():
             == psi.degree - 1)
 
 
+def test_operators_refuse_the_other_flavour():
+    """Both coboundaries and LoopHomology.express raise GradingError on a
+    cochain of the other flavour, as cup does; the same entries in the
+    right flavour go through."""
+    A = model("sphere:3")
+    L = loop_homology(A, (-3, 5), 8)
+    to_A = Cochain(A, {((), A.unit): 1})
+    dual = DualCochain(A, {((), A.unit): 1})
+    assert L.express(to_A) == {(0, 0): 1}
+    assert delta_to_A(A, to_A, 2).is_zero
+    assert delta_to_dual(A, dual, 2).is_zero
+    for op, wrong in ((delta_to_A, dual), (delta_to_dual, to_A)):
+        with pytest.raises(GradingError):
+            op(A, wrong, 2)
+    with pytest.raises(GradingError):
+        L.express(dual)
+
+
 def test_unit_cochain_is_cup_unit():
     rng = random.Random(17)
     for mid in ("sphere:2", "surface:1", "torus:2"):

@@ -349,7 +349,8 @@ def _reference_cup(A, phi1, phi2, cutoff):
 
 
 def _reference_delta_to_dual(A, phi, cutoff):
-    """The dual coboundary summed entry by entry, nothing memoised."""
+    """The dual coboundary summed entry by entry over the basis columns
+    of _delta_entry, with no flavour check."""
     out = {}
     for (v, b), c in phi.entries.items():
         for key, y in _delta_entry(A, "to_dual", v, b, cutoff).items():
@@ -360,9 +361,9 @@ def _reference_delta_to_dual(A, phi, cutoff):
 def test_memoised_operators_match_references_with_signs():
     """connes_B, cup and delta_to_dual against entrywise references on
     models whose letters have nonzero bar degree, so every sign matters;
-    each dual cochain meets its cutoffs in a seeded order, twice, so a
-    column memoised at one cutoff is read back at another.  (On sphere:3
-    the dual coboundary vanishes identically.)"""
+    each dual cochain and its rotation meet the cutoffs 0..5 in a seeded
+    order, twice.  (On sphere:3 the dual coboundary vanishes
+    identically.)"""
     rng = random.Random(4111)
     nonzero = {"B": 0, "cup": 0, "delta": 0}
     for mid in ("complex_projective:2", "sphere:3",
@@ -406,10 +407,10 @@ def test_memos_are_per_model():
     """Brackets computed alternately on two warm models equal those of
     freshly built ones.  torus:2 and surface:2 brackets only meet words
     whose columns agree in both models, and a memo shared by all models
-    would serve the fresh ones too, so rotations and coboundaries are also
-    alternated over models that give the same words different columns
-    (torus:2, its broken-unit variant, complex_projective:2) and compared
-    with the memo-free references."""
+    would serve the fresh ones too, so rotations are also alternated over
+    models that give the same words different columns (torus:2, its
+    broken-unit variant, complex_projective:2) and compared, with their
+    coboundaries, with the memo-free references."""
     warm = {mid: builtin_model(mid) for mid in ("torus:2", "surface:2")}
     classes = {mid: _h0_classes(A, 2) for mid, A in warm.items()}
     n = min(len(cs) for cs in classes.values())

@@ -2,10 +2,8 @@
 
 from fractions import Fraction
 
-import pytest
-
 from conftest import model
-from looptop.lattice import (GroupRingElement, Pi1Report, TruncationError,
+from looptop.lattice import (GroupRingElement, Pi1Report,
                              compare_pi1_dimensions, goldman_bracket,
                              goldman_torus, group_ring_to_cochain,
                              holonomy_cochain, jadic_basis, jadic_reduce)
@@ -117,11 +115,6 @@ def test_compare_pi1_dimensions():
         assert isinstance(rep, Pi1Report)
         assert rep.match
         assert rep.group_ring_dim == p * (p + 1) // 2
-
-
-def test_compare_pi1_needs_enough_weight():
-    with pytest.raises(TruncationError):
-        compare_pi1_dimensions(4, weight_cutoff=1)
 
 
 def test_goldman_agreement_level_two():
