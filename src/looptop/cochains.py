@@ -208,18 +208,22 @@ def delta_to_dual(A, phi, weight_cutoff):
     return _coboundary(A, phi, weight_cutoff, DualCochain)
 
 
-def _concatenate(A, phi1, phi2, n1, n2, cutoff, product):
-    """The concatenation product of two cochains' entries through
-    product, a dict (a1, a2) -> {k: t} in the shape of A.product with
-    zero products left out.  Entries (v1, a1): c1 of phi1 and
-    (v2, a2): c2 of phi2 with len(v1 v2) <= cutoff add c1·c2·t at
+def _concatenate(A, left, right, n1, shift, cutoff, product):
+    """The concatenation product of two homogeneous cochains' entries
+    through product, a dict (a1, a2) -> {k: t} in the shape of A.product
+    with zero products left out.  Entries (v1, a1): c1 of left and
+    (v2, a2): c2 of right with len(v1 v2) <= cutoff add c1·c2·t at
     (v1 v2, k), with the Koszul sign (-1)^{n1 (n2 + bar degree of v2)}:
-    left entries outer, right entries inner, terms in table order."""
+    left entries outer, right entries inner, terms in table order.  The
+    right cochain is homogeneous, so n2 + bar degree of v2 has the parity
+    of |a2| + shift: shift is 0 when n2 is a to-A degree, and the top
+    degree when n2 is a dual degree less the top degree."""
+    odd, deg = n1 % 2, A.degrees
     right = [(len(v2), v2, a2,
-              -c2 if n1 * (n2 + bar_degree(A, v2)) % 2 else c2)
-             for (v2, a2), c2 in phi2.entries.items()]
+              -c2 if odd and (deg[a2] + shift) % 2 else c2)
+             for (v2, a2), c2 in right.items()]
     out = {}
-    for (v1, a1), c1 in phi1.entries.items():
+    for (v1, a1), c1 in left.items():
         room = cutoff - len(v1)
         for len2, v2, a2, c2 in right:
             if len2 > room:
@@ -238,10 +242,10 @@ def cup(A, phi1, phi2, weight_cutoff):
     through the algebra's product table."""
     if phi1.variant != "to_A" or phi2.variant != "to_A":
         raise GradingError("cup is defined on to-A cochains")
-    n1, n2 = phi1.degree, phi2.degree
     return Cochain._trusted(
-        _concatenate(A, phi1, phi2, n1, n2, weight_cutoff, A.product),
-        n1 + n2)
+        _concatenate(A, phi1.entries, phi2.entries, phi1.degree, 0,
+                     weight_cutoff, A.product),
+        phi1.degree + phi2.degree)
 
 
 def slice_complete(A, variant, degree, weight_cutoff):

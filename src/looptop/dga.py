@@ -387,10 +387,10 @@ def _chain_str(A, u):
 
 
 def dga_homology(A):
-    """Homology of (A, d) per degree: degree -> SubquotientBasis."""
-    top = max(A.degrees) if A.degrees else 0
+    """Homology of (A, d) per degree that has basis elements:
+    degree -> SubquotientBasis.  Any other degree has zero homology."""
     out = {}
-    for q in range(top + 1):
+    for q in sorted(set(A.degrees)):
         d_in = {i: A.d(i) for i in A.basis_of_degree(q - 1)}
         d_out = {i: A.d(i) for i in A.basis_of_degree(q)}
         out[q] = homology(d_in, d_out)

@@ -8,8 +8,10 @@ the basis-level orientation pairing is invertible in every degree, which
 holds for the closed builtin models.  The rotation operator B cycles a
 word through the test slot (dropping weight by one, raising degree by
 one), and the bracket of two degree-0 dual classes is
--P(P^{-1}B(c1) ∪ P^{-1}B(c2)).  P and P^{-1} act on the test slot only,
-so what follows B is cup's concatenation product of the two rotated
+-P(P^{-1}B(c1) ∪ P^{-1}B(c2)).  bracket reads each input once, for its
+weight gate, its rotation and its cocycle check, through a per-word memo
+A._cache["rotation_delta"].  P and P^{-1} act on the test slot only, so
+what follows B is cup's concatenation product of the two rotated
 cochains through a per-model table, A._cache["bracket_table"].
 """
 
@@ -24,6 +26,9 @@ from .cochains import assemble_complex  # noqa: F401
 from .dga import OrientationError, dga_homology
 from .cochains import (Cochain, DualCochain, GradingError, cup,
                        delta_to_dual, _concatenate, _delta_entry)
+
+
+_OVER_FILTRATION = "class support exceeds its stated filtration"
 
 
 class NotInImageError(ValueError):
@@ -210,42 +215,47 @@ def symplectic_basis(A):
     return symp
 
 
-def _check_bracket_inputs(A, c1, c2, p, q):
+def _check_bracket_inputs(A, c1, c2):
     """The input gate of bracket and e1_bracket: a symplectic model and
-    two degree-0 dual cochains supported in weights <= p, <= q.  Returns
-    the symplectic basis."""
+    two degree-0 dual cochains.  Returns the symplectic basis.  The
+    weight gates follow, raising GradingError(_OVER_FILTRATION)."""
     symp = symplectic_basis(A)  # raises BracketModelError when unsupported
     if c1.variant != "to_dual" or c2.variant != "to_dual":
         raise GradingError("bracket expects dual cochains")
     if c1.degree != 0 or c2.degree != 0:
         raise GradingError("bracket expects degree-0 classes")
-    if c1.weight_support > p or c2.weight_support > q:
-        raise GradingError("class support exceeds its stated filtration")
     return symp
 
 
-def _rotates_to_cocycle(A, c, p):
-    """Whether delta_to_dual(A, connes_B(A, c, p), p - 1) vanishes, read
-    as the sum of x·δ(B e_u) over the entries (u, unit): x of c, with e_u
-    the dual basis cochain at (u, unit).  Each column δ(B e_u) is built
-    once by connes_B and delta_to_dual themselves and memoised on the
-    model under "rotation_delta", keyed by (u, len(u) < p): B e_u has
-    words of length len(u) - 1, and the cutoff p - 1 only decides whether
-    their weight-raising terms are present."""
+def _rotate_checked(A, c, p):
+    """bracket's one pass over c at filtration p: the weight gate, then
+    B c, with connes_B(A, c, p)'s entries in their key order, then
+    whether delta_to_dual(A, B c, p - 1) vanishes, read as the sum of
+    x·δ(B e_u) over the entries (u, unit): x.  Each word's rotation and
+    column δ(B e_u) are built once by connes_B and delta_to_dual and
+    memoised side by side under "rotation_delta", keyed by
+    (u, len(u) < p): the cutoff p - 1 only decides whether the
+    weight-raising terms of B e_u's words, of length len(u) - 1, are
+    present.  Returns (entries of B c, whether B c is a cocycle)."""
     memo = A._cache.setdefault("rotation_delta", {})
-    out = {}
+    rotated, delta = {}, {}
     for (u, val), x in c.entries.items():
+        if len(u) > p:
+            raise GradingError(_OVER_FILTRATION)
         if val != A.unit or not u:
             continue
         key = (u, len(u) < p)
-        col = memo.get(key)
-        if col is None:
-            e_u = DualCochain(A, {(u, val): 1})
-            col = memo[key] = delta_to_dual(A, connes_B(A, e_u, p),
-                                            p - 1).entries
+        row = memo.get(key)
+        if row is None:
+            b = connes_B(A, DualCochain(A, {(u, val): 1}), p)
+            row = memo[key] = (_rotation(A, u),
+                               delta_to_dual(A, b, p - 1).entries)
+        rotation, col = row
+        for k, sign in rotation:
+            acc(rotated, k, sign * x)
         if col:
-            add_scaled(out, col, x)
-    return not out
+            add_scaled(delta, col, x)
+    return rotated, not delta
 
 
 def _bracket_table(A):
@@ -275,30 +285,29 @@ def bracket(A, c1, c2, p, q, eval_cutoff=None):
     c1 and c2 are degree-0 dual cocycles supported in weights <= p, <= q.
     The output is a degree-0 dual cochain supported in weight
     <= p + q - 2; passing eval_cutoff truncates the output further, which
-    is cheaper when only a low window is compared.  The rotated inputs
-    are checked to be cocycles in their truncated complexes, by
-    _rotates_to_cocycle.
+    is cheaper when only a low window is compared.
 
-    P and P^{-1} act on the test slot word by word, so after B the
-    composite is the concatenation product of the two rotated cochains
-    through the per-model table T of _bracket_table, with degrees
-    n_i = deg(B c_i) - top.
+    Each input is read once, by _rotate_checked; the cocycle checks
+    raise after both reads, first input first.  P and P^{-1} act on the
+    test slot word by word, so after B the composite is the
+    concatenation product of the two rotated cochains through the
+    per-model table T of _bracket_table, with degrees
+    n_i = deg(B c_i) - top = 1 - top.
     """
-    _check_bracket_inputs(A, c1, c2, p, q)
+    _check_bracket_inputs(A, c1, c2)
+    b1, closed1 = _rotate_checked(A, c1, p)
+    b2, closed2 = _rotate_checked(A, c2, q)
+    if not closed1:
+        raise CycleError("rotated first argument is not a cocycle")
+    if not closed2:
+        raise CycleError("rotated second argument is not a cocycle")
+    table = _bracket_table(A)  # raises NotInImageError, as P^{-1} does
     out_cutoff = p + q - 2
     if eval_cutoff is not None:
         out_cutoff = min(out_cutoff, eval_cutoff)
-    b1 = connes_B(A, c1, p)
-    b2 = connes_B(A, c2, q)
-    if not _rotates_to_cocycle(A, c1, p):
-        raise CycleError("rotated first argument is not a cocycle")
-    if not _rotates_to_cocycle(A, c2, q):
-        raise CycleError("rotated second argument is not a cocycle")
-    table = _bracket_table(A)  # raises NotInImageError, as P^{-1} does
     top = A.top_degree
-    n1, n2 = b1.degree - top, b2.degree - top
     return DualCochain._trusted(
-        _concatenate(A, b1, b2, n1, n2, out_cutoff, table), n1 + n2 + top)
+        _concatenate(A, b1, b2, 1 - top, top, out_cutoff, table), 2 - top)
 
 
 def e1_bracket(A, c1, c2, p, q):
@@ -311,7 +320,9 @@ def e1_bracket(A, c1, c2, p, q):
     is the product of the two cyclic sums.  A weight-0 layer rotates to
     zero.
     """
-    symp = _check_bracket_inputs(A, c1, c2, p, q)
+    symp = _check_bracket_inputs(A, c1, c2)
+    if c1.weight_support > p or c2.weight_support > q:
+        raise GradingError(_OVER_FILTRATION)
     if p < 1 or q < 1:
         return DualCochain(A, {}, degree=0)
     top1 = {w: c for (w, _), c in c1.entries.items() if len(w) == p}

@@ -44,6 +44,28 @@ def test_validate_broken_model_file(tmp_path, capsys):
     assert "rule" in out
 
 
+def test_validate_reports_on_a_huge_top_degree(tmp_path, capsys):
+    """A two-element model with top degree 10^9 and its orientation on
+    the unit gets its violation report without walking every degree."""
+    doc = {"name": "huge", "unit": "1", "top_degree": 10 ** 9,
+           "basis": [{"name": "1", "degree": 0},
+                     {"name": "x", "degree": 10 ** 9}],
+           "products": [{"left": "1", "right": "1", "result": {"1": "1"}},
+                        {"left": "1", "right": "x", "result": {"x": "1"}},
+                        {"left": "x", "right": "1", "result": {"x": "1"}}],
+           "orientation": {"1": "1"}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, ["validate", str(path)])
+    assert code == 1
+    assert out.splitlines()[2:] == [
+        "orientation/support\t1\tdegree 0 != top 1000000000",
+        "orientation/nondegenerate\t0\t"
+        "homology pairing degrees (0,1000000000) singular",
+        "orientation/nondegenerate\t1000000000\t"
+        "homology pairing degrees (1000000000,0) singular"]
+
+
 def test_reports_refuse_invalid_model(tmp_path, capsys):
     """A model whose only product is 1·x = x breaks the unit law; the
     report commands name the rule and exit 1 instead of reporting."""

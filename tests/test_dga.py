@@ -229,6 +229,16 @@ def test_dga_homology_dimensions():
     assert dims3 == {0: 1, 3: 1}
 
 
+def test_dga_homology_skips_degrees_without_basis_elements():
+    """sphere:10^8 has homology computed in degrees 0 and 10^8 only, so
+    validating it does not walk every degree up to the top."""
+    s = builtin_model("sphere:100000000")
+    hom = dga_homology(s)
+    assert list(hom) == [0, 10 ** 8]
+    assert {n: h.betti for n, h in hom.items()} == {0: 1, 10 ** 8: 1}
+    assert validate_dga(s).passed
+
+
 def test_orientation_pairing_nondegenerate():
     for mid in ("sphere:2", "sphere:3", "complex_projective:2",
                 "surface:1", "surface:2", "torus:2"):

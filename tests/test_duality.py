@@ -632,3 +632,62 @@ def test_memoised_cocycle_checks_match_the_direct_ones():
     cancel = DualCochain(broken, {(u, broken.unit): 1, (v, broken.unit): -1})
     assert rotates_to_cocycle(broken, cancel, 4)
     bracket(broken, cancel, zero, 4, 4)
+
+
+def test_weight_gates_run_before_either_cocycle_check():
+    """bracket reads each input once, gate and cocycle check together,
+    and raises the cocycle errors only after both inputs are read: a
+    second argument over its filtration wins over a first argument that
+    does not rotate to a cocycle.  An over-weight entry whose test index
+    is not the unit, which the rotation skips, still trips the gate."""
+    broken = _torus_with_broken_unit()
+    x1, x2 = broken.index("x1"), broken.index("x2")
+    c = DualCochain(broken, {((x2, x2), broken.unit): 1}, degree=0)
+    top = DualCochain(broken, {((x1, x2, x1), broken.unit): 1}, degree=0)
+    with pytest.raises(CycleError, match="rotated first argument"):
+        bracket(broken, c, top, 3, 3)
+    with pytest.raises(GradingError, match="stated filtration"):
+        bracket(broken, c, top, 3, 2)
+
+    A = _with_degree0_test_index(broken)
+    z = A.index("z")
+    zero = DualCochain(A, {}, degree=0)
+    heavy = DualCochain(A, {((x2,), A.unit): 1, ((x1, x2, x1), z): 1})
+    assert connes_B(A, heavy, 3).entries == connes_B(
+        A, DualCochain(A, {((x2,), A.unit): 1}), 3).entries
+    for args in ((heavy, zero, 2, 2), (zero, heavy, 2, 2)):
+        with pytest.raises(GradingError, match="stated filtration"):
+            bracket(A, *args)
+        with pytest.raises(GradingError, match="stated filtration"):
+            e1_bracket(A, *args)
+    with pytest.raises(NotInImageError):
+        bracket(A, heavy, zero, 3, 2)
+
+
+def test_warm_brackets_read_only_the_memo(monkeypatch):
+    """Once a sweep of torus:2 brackets has filled the rotation memo
+    through connes_B and delta_to_dual, a second sweep calls neither, and
+    its outputs equal the memo-free reference composite."""
+    import looptop.duality as duality
+    A = builtin_model("torus:2")
+    classes = _h0_classes(A, 3)
+    inner = [bracket(A, x, y, 3, 3) for x in classes[:4] for y in classes]
+    calls = {"connes_B": 0, "delta_to_dual": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(duality, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(duality, name, counted)
+
+    def sweep():
+        return ([(x, y, 3, 3) for x in classes for y in classes]
+                + [(b, x, 4, 3) for b in inner for x in classes[:4]])
+
+    fresh = builtin_model("torus:2")
+    for args in sweep():
+        bracket(fresh, *args)
+    assert all(calls.values()), calls
+    calls.update(dict.fromkeys(calls, 0))
+    for args in sweep():
+        assert bracket(fresh, *args) == _reference_bracket(fresh, *args)
+    assert calls == {"connes_B": 0, "delta_to_dual": 0}
