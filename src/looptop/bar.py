@@ -33,10 +33,11 @@ def _preimage_terms(A):
     """Per basis index k, the terms that reach k from one letter: the
     differential preimages ell of degree >= 1 with the coefficient of k in
     d(ell), and the pairs of letters (l1, l2) with the coefficient of k in
-    l1 l2 times (-1)^{|l1| - 1}, each in table order.  Memoised on the
-    model under "preimages"."""
-    terms = A._cache.get("preimages")
-    if terms is None:
+    l1 l2 times (-1)^{|l1| - 1}, each in table order.  Beside the table,
+    the letters with a differential preimage and the letters with any
+    preimage term.  Memoised on the model under "preimages"."""
+    hit = A._cache.get("preimages")
+    if hit is None:
         diffs = [[] for _ in A.degrees]
         splits = [[] for _ in A.degrees]
         for ell, img in A.differential.items():
@@ -48,8 +49,11 @@ def _preimage_terms(A):
                 s = 1 if A.degrees[l1] % 2 else -1
                 for k, c in img.items():
                     splits[k].append((l1, l2, s * c))
-        terms = A._cache["preimages"] = tuple(zip(diffs, splits))
-    return terms
+        terms = tuple(zip(diffs, splits))
+        hit = A._cache["preimages"] = (
+            terms, frozenset(k for k, ds in enumerate(diffs) if ds),
+            frozenset(k for k, (ds, ps) in enumerate(terms) if ds or ps))
+    return hit
 
 
 def boundary_preimages(A, v, max_weight):
@@ -62,10 +66,14 @@ def boundary_preimages(A, v, max_weight):
     e the bar degree of v before the letter, kept as a running sum (a
     split's extra (-1)^{|l1| - 1} is already in its coefficient).
     Contributions are accumulated: a given w may reach v several ways.
+    A word none of whose letters has a term at this weight (a differential
+    preimage at the cutoff, either kind below it) is returned {} at once.
     """
-    terms = _preimage_terms(A)
-    table = A.letter_degrees
+    terms, at_cutoff, below_cutoff = _preimage_terms(A)
     splits = len(v) < max_weight
+    if (below_cutoff if splits else at_cutoff).isdisjoint(v):
+        return {}
+    table = A.letter_degrees
     out = {}
     e = 0
     for idx, vi in enumerate(v):

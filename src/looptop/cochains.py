@@ -169,16 +169,17 @@ def _coboundary_terms(A, variant):
 
 
 def _delta_entry(A, variant, v, val, cutoff):
-    """Coboundary of the basis cochain supported at (v, val)."""
+    """Coboundary of the basis cochain supported at (v, val): value
+    terms, then the transposed bar boundary with sign (-1)^{|val|} in
+    both flavours, then, below the cutoff, a letter prepended or appended
+    and absorbed into the value."""
     vals, sign, ends = _coboundary_terms(A, variant)[val]
     out = {}
     for k, c in vals:
         acc(out, (v, k), c)
-    # transposed bar boundary, sign (-1)^{|val|} in both flavours; its
-    # words differ from v, so no key is in out yet
+    # the preimage words differ from v, so no key is in out yet
     out.update(((w, val), sign * mu)
                for w, mu in boundary_preimages(A, v, cutoff).items())
-    # prepend / append a letter, absorbing it into the value
     if len(v) < cutoff:
         for ell, k, c, front in ends[bar_degree(A, v) % 2]:
             acc(out, ((ell,) + v if front else v + (ell,), k), c)

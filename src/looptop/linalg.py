@@ -291,13 +291,17 @@ def homology(boundary_in, boundary_out):
     neighbouring slice's basis); boundary_out gives the map leaving it,
     with a column, possibly empty, for every basis key of the slice.
     Raises CompositionError unless every boundary lies in the slice and
-    the composite vanishes.
+    the composite vanishes.  Both checks run on every nonempty incoming
+    column, in sorted key order; an empty column has no entry outside
+    the slice and a zero image, so it is skipped, and it never reaches
+    the boundary echelon either.
 
     One elimination finds the cycles (kernel_basis); a second, of the
     boundaries in cycle coordinates, picks the representatives and
     answers every later express() query.
     """
-    for k in sorted(boundary_in):
+    boundaries = []
+    for k in sorted(k for k, col in boundary_in.items() if col):
         col = boundary_in[k]
         outside = next((i for i in col if i not in boundary_out), None)
         if outside is not None:
@@ -306,6 +310,6 @@ def homology(boundary_in, boundary_out):
                 f"outside the slice")
         if apply_columns(boundary_out, col):
             raise CompositionError(f"composite differential nonzero on {k!r}")
+        boundaries.append(col)
 
-    return SubquotientBasis(kernel_basis(boundary_out),
-                            [boundary_in[k] for k in sorted(boundary_in)])
+    return SubquotientBasis(kernel_basis(boundary_out), boundaries)

@@ -7,13 +7,14 @@ from math import lcm
 
 import pytest
 
-from conftest import model
+from conftest import MODEL_IDS, model
 from looptop import linalg
-from looptop.cochains import assemble_complex
-from looptop.linalg import (CompositionError, Echelon, acc, add_scaled,
-                            apply_columns, column_rank, compose_columns,
-                            homology, kernel_basis, vec_combine,
-                            _content_one, _div, _Row)
+from looptop.bar import bar_slice
+from looptop.cochains import assemble_complex, hochschild_homology
+from looptop.linalg import (CompositionError, Echelon, SubquotientBasis, acc,
+                            add_scaled, apply_columns, column_rank,
+                            compose_columns, homology, kernel_basis,
+                            vec_combine, _content_one, _div, _Row)
 
 
 def test_vec_helpers_drop_zeros():
@@ -610,3 +611,64 @@ def test_homology_matches_tagged_reference():
             want = ref_express(probe)
             assert h.express(probe) == want, trial
             assert h.is_boundary(probe) == (want == {}), trial
+
+
+def test_empty_columns_never_reach_the_echelon(monkeypatch):
+    """The dual H0 slice of torus:2 at cutoff 10 has 13,311 incoming
+    columns, 7,188 of them empty, and a zero outgoing map, so kernel_basis
+    inserts nothing: only the 6,123 nonempty columns reach the echelon."""
+    calls = []
+    insert = Echelon.insert
+    monkeypatch.setattr(Echelon, "insert",
+                        lambda ech, vec: calls.append(1) or insert(ech, vec))
+    h = hochschild_homology(model("torus:2"), "to_dual", (0, 0), 10)[0]
+    assert (len(calls), h.betti, h.boundary_rank) == (6123, 66, 1981)
+
+
+def _snapshot(h):
+    """Cycles, representatives, boundary rank and echelon rows, items
+    and key order included."""
+    return ([list(z.items()) for z in h.cycles],
+            [list(r.items()) for r in h.representatives],
+            h.boundary_rank,
+            [(pk, list(row.vec.items())) for pk, row in h.echelon.rows.items()])
+
+
+def test_homology_ignores_empty_columns():
+    """On bar and cochain slices of every builtin family over seeded
+    windows, homology with the empty incoming columns interleaved, with
+    them removed, and a subquotient that inserts every column in sorted
+    order all agree."""
+    rng = random.Random(23)
+    empty = 0
+    for model_id in MODEL_IDS:
+        A = model(model_id)
+        for _ in range(3):
+            n, cutoff = rng.randint(-3, 4), rng.randint(1, 4)
+            pairs = [(bar_slice(A, n - 1, cutoff).d_columns,
+                      bar_slice(A, n, cutoff).d_columns)]
+            for variant in ("to_A", "to_dual"):
+                pairs.append(
+                    (assemble_complex(A, variant, n + 1, cutoff).delta_columns,
+                     assemble_complex(A, variant, n, cutoff).delta_columns))
+            for d_in, d_out in pairs:
+                want = _snapshot(SubquotientBasis(
+                    kernel_basis(d_out), [d_in[k] for k in sorted(d_in)]))
+                assert _snapshot(homology(d_in, d_out)) == want
+                nonempty = {k: col for k, col in d_in.items() if col}
+                assert _snapshot(homology(nonempty, d_out)) == want
+                empty += len(d_in) - len(nonempty)
+    assert empty > 1000
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"a": 1, "stray": 2}, "^boundary of 3 has an entry on 'stray'"),
+    ({"a": 1}, "^composite differential nonzero on 3$"),
+])
+def test_composition_checks_survive_leading_empty_columns(bad, message):
+    """A faulty nonempty column still raises when empty columns sort
+    before it, and the first faulty one in key order is named."""
+    d_out = {"a": {"q": 1}, "b": {"q": 1}}
+    d_in = {5: bad, 4: {}, 3: bad, 2: {}, 1: {"a": 1, "b": -1}, 0: {}}
+    with pytest.raises(CompositionError, match=message):
+        homology(d_in, d_out)
