@@ -58,7 +58,7 @@ def _build_parser():
     p = sub.add_parser("bar-betti",
                        help="bar homology Betti numbers per degree")
     add_model_args(p)
-    p.add_argument("--min", type=int, default=0, dest="min_degree")
+    p.add_argument("--min", type=int, default=None, dest="min_degree")
     p.add_argument("--max", type=int, default=None, dest="max_degree")
     p.add_argument("--max-weight", type=int, default=None,
                    help="weight cutoff (default: max degree; required "
@@ -109,6 +109,32 @@ def _load_valid_model(args):
         raise ModelError(f"model {A.label} fails validation: "
                          + ", ".join(report.rules))
     return A
+
+
+# the widest default degree window a report builds: a default window
+# grows with the top degree, and each degree costs a slice and a line
+_MAX_DEFAULT_WINDOW = 1000
+
+
+def _degree_window(args, lo, hi):
+    """The window --min..--max, an end not given defaulting to lo or hi.
+
+    A degenerate window is refused, and so is a default one (neither end
+    given) wider than _MAX_DEFAULT_WINDOW degrees; an explicit window
+    never is."""
+    if args.min_degree is not None:
+        lo = args.min_degree
+    if args.max_degree is not None:
+        hi = args.max_degree
+    if lo > hi:
+        raise UsageError(f"degenerate degree range {lo}..{hi}")
+    width = hi - lo + 1
+    if (args.min_degree is None and args.max_degree is None
+            and width > _MAX_DEFAULT_WINDOW):
+        raise UsageError(
+            f"default degree window {lo}..{hi} spans {width} degrees, more "
+            f"than {_MAX_DEFAULT_WINDOW}; give --min and --max")
+    return lo, hi
 
 
 def _weight_cutoff(A, value, name, default):
@@ -162,10 +188,7 @@ def _cmd_validate(args):
 
 def _cmd_loop_homology(args):
     A = _load_valid_model(args)
-    lo = -A.top_degree if args.min_degree is None else args.min_degree
-    hi = A.top_degree + 2 if args.max_degree is None else args.max_degree
-    if lo > hi:
-        raise UsageError(f"degenerate degree range {lo}..{hi}")
+    lo, hi = _degree_window(args, -A.top_degree, A.top_degree + 2)
     cutoff = _weight_cutoff(A, args.cutoff, "cutoff",
                             max(hi + 1 + A.top_degree, 0))
     ring = loop_homology(A, (lo, hi), cutoff)
@@ -189,10 +212,7 @@ def _cmd_loop_homology(args):
 
 def _cmd_bar_betti(args):
     A = _load_valid_model(args)
-    lo = args.min_degree
-    hi = 2 * A.top_degree if args.max_degree is None else args.max_degree
-    if lo > hi:
-        raise UsageError(f"degenerate degree range {lo}..{hi}")
+    lo, hi = _degree_window(args, 0, 2 * A.top_degree)
     max_weight = _weight_cutoff(A, args.max_weight, "max-weight",
                                 max(hi, 0))
     hom = bar_homology(A, (lo, hi), max_weight)

@@ -8,15 +8,17 @@ A to-A entry (w, a) sits in degree bar_degree(w) - |a|; a dual entry
 
 The coboundary lowers degree by one in both flavours and never lowers
 word length, so truncating by a weight cutoff gives an honest subquotient
-complex.  Coboundaries are computed entrywise: a basis cochain's column is
-read off term tables built once per model with their signs worked out,
-A._cache["coboundary_terms"] (per flavour and value index) and the bar
-boundary's A._cache["preimages"] (per letter).  The concatenation product
-and its Koszul sign are written once, in _concatenate: cup runs it
-through the algebra's product table, duality.bracket through its own.
-Operators whose outputs are homogeneous by construction make them with
-_Cochain._trusted, which skips the grading scan of the public
-constructors.
+complex.  One function builds coboundary columns, _delta_columns: each
+basis cochain's column is read off term tables built once per model with
+their signs worked out, A._cache["coboundary_terms"] (per flavour and
+value index) and the bar boundary's A._cache["preimages"] (per letter),
+and a word's bar-boundary preimages are walked once per run of its keys.
+Slices, e1_term's layers and delta_to_A/delta_to_dual all call it.  The
+concatenation product and its Koszul sign are written once, in
+_concatenate: cup runs it through the algebra's product table,
+duality.bracket through its own.  Operators whose outputs are
+homogeneous by construction make them with _Cochain._trusted, which
+skips the grading scan of the public constructors.
 """
 
 from .linalg import acc, add_scaled, compose_columns, homology
@@ -121,7 +123,8 @@ def _coboundary_terms(A, variant):
     bar_degree(v) % 2 == p, lists (letter, k, c, front) for entries
     ((letter,) + v, k) if front, else (v + (letter,), k): letters in basis
     order, products in table order.  Memoised on the model under
-    "coboundary_terms", keyed by variant.
+    "coboundary_terms", keyed by variant; _delta_columns reads it once
+    per call.
     """
     tables = A._cache.setdefault("coboundary_terms", {})
     if variant in tables:
@@ -168,21 +171,34 @@ def _coboundary_terms(A, variant):
     return table
 
 
-def _delta_entry(A, variant, v, val, cutoff):
-    """Coboundary of the basis cochain supported at (v, val): value
+def _delta_columns(A, variant, keys, cutoff):
+    """Coboundaries of the basis cochains supported at keys, as
+    {(v, val): column} in the order of keys.  A column holds the value
     terms, then the transposed bar boundary with sign (-1)^{|val|} in
     both flavours, then, below the cutoff, a letter prepended or appended
-    and absorbed into the value."""
-    vals, sign, ends = _coboundary_terms(A, variant)[val]
-    out = {}
-    for k, c in vals:
-        acc(out, (v, k), c)
-    # the preimage words differ from v, so no key is in out yet
-    out.update(((w, val), sign * mu)
-               for w, mu in boundary_preimages(A, v, cutoff).items())
-    if len(v) < cutoff:
-        for ell, k, c, front in ends[bar_degree(A, v) % 2]:
-            acc(out, ((ell,) + v if front else v + (ell,), k), c)
+    and absorbed into the value.  The term table is read once per call;
+    a word's bar-boundary preimages and bar-degree parity once per run of
+    consecutive keys on that word, so keys in basis order cost one of
+    each per word.  Any order gives the same columns."""
+    table = _coboundary_terms(A, variant)
+    out, word = {}, None
+    for key in keys:
+        v, val = key
+        if v != word:
+            word = v
+            preimages = boundary_preimages(A, v, cutoff).items()
+            parity = bar_degree(A, v) % 2 if len(v) < cutoff else None
+        vals, sign, ends = table[val]
+        col = {}
+        for k, c in vals:
+            acc(col, (v, k), c)
+        if preimages:
+            # the preimage words differ from v, so no key is in col yet
+            col.update(((w, val), sign * mu) for w, mu in preimages)
+        if parity is not None:
+            for ell, k, c, front in ends[parity]:
+                acc(col, ((ell,) + v if front else v + (ell,), k), c)
+        out[key] = col
     return out
 
 
@@ -191,11 +207,11 @@ def _coboundary(A, phi, weight_cutoff, flavour):
     by one."""
     if phi.variant != flavour.variant:
         raise GradingError(f"expected a {flavour.__name__}")
+    columns = _delta_columns(A, flavour.variant, phi.entries, weight_cutoff)
     out = {}
-    for (v, val), c in phi.entries.items():
-        for key, y in _delta_entry(A, flavour.variant, v, val,
-                                   weight_cutoff).items():
-            acc(out, key, c * y)
+    for key, c in phi.entries.items():
+        for k, y in columns[key].items():
+            acc(out, k, c * y)
     return flavour._trusted(out, phi.degree - 1)
 
 
@@ -286,7 +302,9 @@ class ComplexSlice:
 
 
 def assemble_complex(A, variant, degree, weight_cutoff):
-    """Build the degree slice: basis keys and coboundary columns."""
+    """Build the degree slice: basis keys, sorted by (weight, word, value
+    index) so each word's keys are adjacent, and their coboundary columns
+    from one _delta_columns call."""
     if variant not in ("to_A", "to_dual"):
         raise ValueError(f"unknown variant {variant!r}")
     # to-A keys (w, a) need bar degree |w| = degree + |a| <= degree + top;
@@ -303,11 +321,8 @@ def assemble_complex(A, variant, degree, weight_cutoff):
             for val in values:
                 basis.append((w, val))
     basis.sort(key=lambda key: (len(key[0]), key[0], key[1]))
-    delta_columns = {key: _delta_entry(A, variant, key[0], key[1],
-                                       weight_cutoff)
-                     for key in basis}
     return ComplexSlice(variant, degree, weight_cutoff, tuple(basis),
-                        delta_columns,
+                        _delta_columns(A, variant, basis, weight_cutoff),
                         slice_complete(A, variant, degree, weight_cutoff))
 
 

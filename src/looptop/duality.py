@@ -25,7 +25,7 @@ from .bar import bar_degree, prefix_degrees, words_by_degree  # noqa: F401
 from .cochains import assemble_complex  # noqa: F401
 from .dga import OrientationError, dga_homology
 from .cochains import (Cochain, DualCochain, GradingError, cup,
-                       delta_to_dual, _concatenate, _delta_entry)
+                       delta_to_dual, _concatenate, _delta_columns)
 
 
 _OVER_FILTRATION = "class support exceeds its stated filtration"
@@ -365,7 +365,9 @@ def e1_term(A, p):
 
     The layer complex keeps only weight-exactly-p words; its homology
     dimensions must match those of functionals from p-fold tensors of
-    suspended positive homology into dual homology.
+    suspended positive homology into dual homology.  Each degree's
+    columns come from one _delta_columns call over its keys, each word's
+    keys adjacent.
     """
     basis_by_degree = {}
     for w in itertools.product(A.letters, repeat=p):
@@ -376,8 +378,7 @@ def e1_term(A, p):
     degrees = sorted(basis_by_degree)
     # at cutoff p the weight-raising terms drop out, leaving the value
     # differential and the letterwise differential of the quotient
-    columns = {n: {key: _delta_entry(A, "to_dual", key[0], key[1], p)
-                   for key in basis_by_degree[n]}
+    columns = {n: _delta_columns(A, "to_dual", basis_by_degree[n], p)
                for n in degrees}
     quotient_dims = {}
     for n in degrees:

@@ -292,9 +292,12 @@ def homology(boundary_in, boundary_out):
     with a column, possibly empty, for every basis key of the slice.
     Raises CompositionError unless every boundary lies in the slice and
     the composite vanishes.  Both checks run on every nonempty incoming
-    column, in sorted key order; an empty column has no entry outside
-    the slice and a zero image, so it is skipped, and it never reaches
-    the boundary echelon either.
+    column, in sorted key order, in one pass over its entries: each is
+    looked up in boundary_out (a key with an empty column lies in the
+    slice) and its image accumulated, the first entry outside the slice
+    raising at once and a nonzero composite only after the whole column.
+    An empty column has no entry outside the slice and a zero image, so
+    it is skipped, and it never reaches the boundary echelon either.
 
     One elimination finds the cycles (kernel_basis); a second, of the
     boundaries in cycle coordinates, picks the representatives and
@@ -303,12 +306,16 @@ def homology(boundary_in, boundary_out):
     boundaries = []
     for k in sorted(k for k, col in boundary_in.items() if col):
         col = boundary_in[k]
-        outside = next((i for i in col if i not in boundary_out), None)
-        if outside is not None:
-            raise CompositionError(
-                f"boundary of {k!r} has an entry on {outside!r}, "
-                f"outside the slice")
-        if apply_columns(boundary_out, col):
+        image = {}
+        for i, c in col.items():
+            out = boundary_out.get(i)
+            if out is None:
+                raise CompositionError(
+                    f"boundary of {k!r} has an entry on {i!r}, "
+                    f"outside the slice")
+            if out:
+                add_scaled(image, out, c)
+        if image:
             raise CompositionError(f"composite differential nonzero on {k!r}")
         boundaries.append(col)
 

@@ -17,7 +17,7 @@ from conftest import MODEL_IDS, model, random_cochain, slice_bases
 from looptop.bar import bar_d_squared_zero, bar_homology
 from looptop.cochains import (DualCochain, cup, delta_squared_zero,
                               delta_to_A, hochschild_homology, loop_homology,
-                              _delta_entry)
+                              _delta_columns)
 from looptop.duality import (bracket, connes_B, e1_bracket, e1_term,
                              poincare_P, poincare_P_chain_inverse)
 from looptop.lattice import (compare_pi1_dimensions, goldman_torus,
@@ -275,7 +275,8 @@ def test_criterion_10_e1_bracket_matches_full_pipeline():
         for w in itertools.product(t2.letters, repeat=n):
             for val in range(t2.dim):
                 # cutoff len(w): the weight-graded quotient coboundary
-                assert _delta_entry(t2, "to_dual", w, val, n) == {}
+                key = (w, val)
+                assert _delta_columns(t2, "to_dual", [key], n)[key] == {}
     assert _e1_sweep(t2, 3) == (2 + 4 + 8) ** 2
     assert _e1_sweep(model("surface:2"), 2) == (4 + 16) ** 2
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -230,6 +231,42 @@ def test_bar_betti_needs_max_weight_with_degree_one_letters(capsys):
         assert code == 2, mid
         assert out == "", mid
         assert "degree-1 generators" in err and "--max-weight" in err, mid
+
+
+@pytest.mark.parametrize("command, builder, default", [
+    ("loop-homology", "loop_homology", lambda n: (-n, n + 2)),
+    ("bar-betti", "bar_homology", lambda n: (0, 2 * n))])
+def test_wide_default_window_is_refused(capsys, monkeypatch, command,
+                                        builder, default):
+    """A default window grows with the top degree, one slice per degree,
+    so one wider than 1,000 degrees is refused before anything is built;
+    one of 1,000 degrees or fewer, and any explicit window, is not."""
+    class Built(Exception):
+        pass
+
+    def built(*args, **kwargs):
+        raise Built
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, [command, "--model", "sphere:100000000"])
+    assert time.perf_counter() - start < 0.5
+    lo, hi = default(100000000)
+    assert (code, out) == (2, "")
+    assert err == (f"usage error: default degree window {lo}..{hi} spans "
+                   f"{hi - lo + 1} degrees, more than 1000; give --min "
+                   "and --max\n")
+    monkeypatch.setattr(f"looptop.cli.{builder}", built)
+    for argv, refused in (
+            (["--model", "sphere:499"], command == "loop-homology"),
+            (["--model", "sphere:498"], False),
+            (["--model", "sphere:500"], True),
+            (["--model", "sphere:100000000", "--min", "-5000", "--max",
+              "5000"], False)):
+        if refused:
+            assert run(capsys, [command] + argv)[0] == 2, argv
+        else:
+            with pytest.raises(Built):
+                main([command] + argv)
 
 
 @pytest.mark.parametrize("command, flag", [("loop-homology", "--cutoff"),

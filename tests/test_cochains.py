@@ -8,7 +8,7 @@ from conftest import (MODEL_IDS, model, random_cochain, restrict_weight,
                       slice_bases)
 from looptop.bar import bar_d_squared_zero, bar_slice
 from looptop.cochains import (Cochain, DualCochain, GradingError,
-                              _delta_entry, assemble_complex, cup,
+                              _delta_columns, assemble_complex, cup,
                               delta_squared_zero, delta_to_A, delta_to_dual,
                               hochschild_homology, loop_homology,
                               slice_complete, unit_cochain)
@@ -318,20 +318,62 @@ def _disconnected_model():
                2, commutative=False, label="disconnected")
 
 
+def _split_one_word(basis):
+    """basis with the first key of its first word that has two or more
+    keys moved to the end, so that word's keys form two runs; None when
+    no word has two keys."""
+    for i, key in enumerate(basis[:-1]):
+        if basis[i + 1][0] == key[0]:
+            return basis[:i] + basis[i + 1:] + (key,)
+    return None
+
+
+def _check_reordered(A, flavour, delta, basis, refs, cutoff, rng):
+    """_delta_columns on the slice keys shuffled, and with one word's keys
+    split apart, and delta on a cochain of the slice whose entries come
+    in shuffled order, against the reference columns refs, dict key
+    order included.  Returns whether one word's keys were split and
+    whether the cochain interleaves two words."""
+    shuffled = list(basis)
+    rng.shuffle(shuffled)
+    split = _split_one_word(basis)
+    for keys in (shuffled, split or ()):
+        columns = _delta_columns(A, flavour.variant, keys, cutoff)
+        assert list(columns) == list(keys)
+        for key in keys:
+            assert list(columns[key].items()) == refs[key], (
+                A.label, flavour.variant, cutoff, key)
+    phi = flavour(A, {key: rng.choice((-2, -1, 1, 3)) for key in shuffled})
+    want = {}
+    for key, c in phi.entries.items():
+        for k, y in refs[key]:
+            acc(want, k, c * y)
+    got = delta(A, phi, cutoff).entries
+    assert list(got.items()) == list(want.items()), (A.label, cutoff)
+    runs = [w for i, (w, _) in enumerate(shuffled)
+            if not i or shuffled[i - 1][0] != w]
+    return split is not None, len(runs) > len(set(runs))
+
+
 def test_coboundary_columns_match_reference():
-    """Bar slices, both cochain slices, _delta_entry and delta_to_dual
+    """Bar slices, both cochain slices, _delta_columns and delta_to_dual
     equal test-local reference loops column by column, dict key order
     included.  The models alternate innermost, so a term table cached for
     one model and served to another would show.  Words at the cutoff are
     counted by whether they have preimages: boundary_preimages returns {}
     without a letter walk only for those with none, and the acyclic
     extensions' words holding a letter with a differential preimage must
-    keep theirs."""
+    keep theirs.  _delta_columns reads a word's preimages and parity once
+    per run of its keys, so it also gets each cochain slice's keys in a
+    seeded shuffle and with one word's keys split into two runs, and
+    delta_to_A and delta_to_dual get cochains whose entries interleave
+    words."""
+    rng = random.Random(2417)
     models = [builtin_model(mid) for mid in (
         "sphere:3", "complex_projective:2", "torus:2", "surface:2",
         "acyclic_extension:sphere:3", "acyclic_extension:torus:1")]
     models.append(_disconnected_model())
-    columns, at_cutoff = 0, [0, 0]
+    columns, at_cutoff, reordered = 0, [0, 0], []
     for cutoff in range(5):
         for n in range(-3, 6):
             for A in models:
@@ -347,19 +389,29 @@ def test_coboundary_columns_match_reference():
                     assert (list(bar.d_columns[w].items())
                             == list(want[w].items())), (A.label, n, w)
                 to_A = assemble_complex(A, "to_A", n, cutoff)
+                refs = {}
                 for key, col in to_A.delta_columns.items():
-                    ref = _reference_entry_to_A(A, *key, cutoff)
-                    assert list(col.items()) == list(ref.items()), (
+                    ref = refs[key] = list(
+                        _reference_entry_to_A(A, *key, cutoff).items())
+                    assert list(col.items()) == ref, (
                         A.label, n, cutoff, key)
+                reordered.append(_check_reordered(
+                    A, Cochain, delta_to_A, to_A.basis, refs, cutoff, rng))
                 dual = assemble_complex(A, "to_dual", n, cutoff)
+                refs = {}
                 for key, col in dual.delta_columns.items():
-                    ref = list(_reference_entry_dual(A, *key, cutoff).items())
+                    ref = refs[key] = list(
+                        _reference_entry_dual(A, *key, cutoff).items())
                     assert list(col.items()) == ref, (A.label, n, cutoff, key)
-                    entry = _delta_entry(A, "to_dual", *key, cutoff)
+                    entry = _delta_columns(A, "to_dual", [key], cutoff)[key]
                     assert list(entry.items()) == ref
                     image = delta_to_dual(A, DualCochain(A, {key: 1}), cutoff)
                     assert list(image.entries.items()) == ref
+                reordered.append(_check_reordered(
+                    A, DualCochain, delta_to_dual, dual.basis, refs, cutoff,
+                    rng))
                 columns += bar.dim + to_A.dim + dual.dim
     assert columns == 22178
     assert at_cutoff == [1078, 339]
+    assert [sum(seen) for seen in zip(*reordered)] == [133, 113]
 

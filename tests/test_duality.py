@@ -8,7 +8,7 @@ from conftest import (MODEL_IDS, model, random_cochain, restrict_weight,
                       slice_bases)
 from looptop import builtin_model
 from looptop.cochains import (Cochain, DualCochain, GradingError,
-                              _delta_entry, assemble_complex, cup,
+                              _delta_columns, assemble_complex, cup,
                               delta_to_A, delta_to_dual, hochschild_homology)
 from looptop.dga import build_dga, dga_to_doc
 from looptop.duality import (BracketModelError, CycleError, NotInImageError,
@@ -350,11 +350,11 @@ def _reference_cup(A, phi1, phi2, cutoff):
 
 def _reference_delta_to_dual(A, phi, cutoff):
     """The dual coboundary summed entry by entry over the basis columns
-    of _delta_entry, with no flavour check."""
+    of _delta_columns, one key at a time, with no flavour check."""
     out = {}
-    for (v, b), c in phi.entries.items():
-        for key, y in _delta_entry(A, "to_dual", v, b, cutoff).items():
-            acc(out, key, c * y)
+    for key, c in phi.entries.items():
+        for k, y in _delta_columns(A, "to_dual", [key], cutoff)[key].items():
+            acc(out, k, c * y)
     return out
 
 

@@ -664,11 +664,17 @@ def test_homology_ignores_empty_columns():
 @pytest.mark.parametrize("bad, message", [
     ({"a": 1, "stray": 2}, "^boundary of 3 has an entry on 'stray'"),
     ({"a": 1}, "^composite differential nonzero on 3$"),
+    ({"a": 1, "b": 1, "stray": 2},
+     "^boundary of 3 has an entry on 'stray'"),
+    ({"e": 1, "a": 1}, "^composite differential nonzero on 3$"),
 ])
 def test_composition_checks_survive_leading_empty_columns(bad, message):
     """A faulty nonempty column still raises when empty columns sort
-    before it, and the first faulty one in key order is named."""
-    d_out = {"a": {"q": 1}, "b": {"q": 1}}
+    before it, and the first faulty one in key order is named.  A column
+    whose image is already nonzero when its outside entry is met raises
+    the outside error; an entry on a key whose outgoing column is empty
+    ("e") lies in the slice."""
+    d_out = {"a": {"q": 1}, "b": {"q": 1}, "e": {}}
     d_in = {5: bad, 4: {}, 3: bad, 2: {}, 1: {"a": 1, "b": -1}, 0: {}}
     with pytest.raises(CompositionError, match=message):
         homology(d_in, d_out)
