@@ -111,17 +111,17 @@ def _load_valid_model(args):
     return A
 
 
-# the widest default degree window a report builds: a default window
-# grows with the top degree, and each degree costs a slice and a line
+# the widest degree window with a default end a report builds: a default
+# end moves with the top degree, and each degree costs a slice and a line
 _MAX_DEFAULT_WINDOW = 1000
 
 
 def _degree_window(args, lo, hi):
     """The window --min..--max, an end not given defaulting to lo or hi.
 
-    A degenerate window is refused, and so is a default one (neither end
-    given) wider than _MAX_DEFAULT_WINDOW degrees; an explicit window
-    never is."""
+    A degenerate window is refused, and so is one with a default end
+    wider than _MAX_DEFAULT_WINDOW degrees; a window with both ends
+    given never is."""
     if args.min_degree is not None:
         lo = args.min_degree
     if args.max_degree is not None:
@@ -129,7 +129,7 @@ def _degree_window(args, lo, hi):
     if lo > hi:
         raise UsageError(f"degenerate degree range {lo}..{hi}")
     width = hi - lo + 1
-    if (args.min_degree is None and args.max_degree is None
+    if (None in (args.min_degree, args.max_degree)
             and width > _MAX_DEFAULT_WINDOW):
         raise UsageError(
             f"default degree window {lo}..{hi} spans {width} degrees, more "

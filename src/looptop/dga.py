@@ -136,8 +136,9 @@ def build_dga(doc):
 
     The document is a dict with keys name, basis, unit, differential,
     products, top_degree, orientation (optional), commutative.  Grading of
-    product and differential entries is enforced here; everything else is
-    validate_dga's business.
+    product and differential entries is enforced here, and so is one
+    entry per differential source and per product pair; everything else
+    is validate_dga's business.
     """
     if not isinstance(doc, dict):
         raise ParseError("model document must be a JSON object")
@@ -176,10 +177,14 @@ def build_dga(doc):
             or top_degree < 0):
         raise ParseError(f"bad top_degree {top_degree!r}")
 
+    # an empty image stays in the table until DGA drops it, so that a
+    # repeated entry is seen whatever its coefficients
     differential = {}
     for entry in _entries(doc, "differential", ("from", "to")):
         src = resolve(entry["from"])
-        img = {}
+        if src in differential:
+            raise ParseError(f"repeated differential entry d({names[src]})")
+        img = differential[src] = {}
         for name, c in entry["to"].items():
             k = resolve(name)
             if degrees[k] != degrees[src] + 1:
@@ -189,13 +194,13 @@ def build_dga(doc):
             c = _coeff(c)
             if c:
                 img[k] = c
-        if img:
-            differential[src] = img
 
     product = {}
     for entry in _entries(doc, "products", ("left", "right", "result")):
         i, j = resolve(entry["left"]), resolve(entry["right"])
-        img = {}
+        if (i, j) in product:
+            raise ParseError(f"repeated products entry {names[i]}·{names[j]}")
+        img = product[(i, j)] = {}
         for name, c in entry["result"].items():
             k = resolve(name)
             if degrees[k] != degrees[i] + degrees[j]:
@@ -205,8 +210,6 @@ def build_dga(doc):
             c = _coeff(c)
             if c:
                 img[k] = c
-        if img:
-            product[(i, j)] = img
 
     orientation = doc.get("orientation")
     if orientation is not None:

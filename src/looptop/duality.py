@@ -15,6 +15,7 @@ what follows B is cup's concatenation product of the two rotated
 cochains through a per-model table, A._cache["bracket_table"].
 """
 
+import functools
 import itertools
 
 from .linalg import acc, add_scaled, homology, kernel_basis
@@ -85,17 +86,22 @@ def require_chain_invertible(A):
             f"orientation pairing of {A.label} is not chain-invertible")
 
 
+def _through_test_slot(entries, table):
+    """Entry (w, x): c goes to c·v at (w, y) for each y: v in table[x]."""
+    out = {}
+    for (w, x), c in entries.items():
+        for y, v in table[x].items():
+            acc(out, (w, y), c * v)
+    return out
+
+
 def poincare_P(A, phi):
     """Pair a to-A cochain against the orientation: degree rises by top."""
     if A.orientation is None:
         raise OrientationError(f"model {A.label} has no orientation")
     if phi.variant != "to_A":
         raise GradingError("poincare_P expects a to-A cochain")
-    forward = _pairing(A)[0]
-    out = {}
-    for (w, a), c in phi.entries.items():
-        for b, v in forward[a].items():
-            acc(out, (w, b), c * v)
+    out = _through_test_slot(phi.entries, _pairing(A)[0])
     return DualCochain._trusted(out, phi.degree + A.top_degree)
 
 
@@ -104,11 +110,7 @@ def poincare_P_chain_inverse(A, psi):
     if psi.variant != "to_dual":
         raise GradingError("expected a dual cochain")
     require_chain_invertible(A)
-    inverse = _pairing(A)[1]
-    out = {}
-    for (w, b), c in psi.entries.items():
-        for a, v in inverse[b].items():
-            acc(out, (w, a), c * v)
+    out = _through_test_slot(psi.entries, _pairing(A)[1])
     return Cochain._trusted(out, psi.degree - A.top_degree)
 
 
@@ -116,21 +118,17 @@ def _rotation(A, u):
     """B of the dual basis cochain (u, unit): one ((w, b), sign) pair per
     letter b of u, with w the rest of u read cyclically from after b.
     A periodic u repeats keys; the pairs stay apart so that connes_B adds
-    them in rotation order.  Memoised on the model under "rotation",
-    keyed by u."""
-    memo = A._cache.setdefault("rotation", {})
-    col = memo.get(u)
-    if col is None:
-        eps = prefix_degrees(A, u)
-        eps_u = eps[-1]
-        col = []
-        for j, b in enumerate(u):
-            eps_k = eps_u - eps[j + 1]  # bar degree of u[j + 1:]
-            eps_r = eps_u - A.letter_degrees[b]
-            e = (eps_k + 1) * (eps_r - eps_k)
-            col.append(((u[j + 1:] + u[:j], b), -1 if e % 2 else 1))
-        col = memo[u] = tuple(col)
-    return col
+    them in rotation order.  Not memoised here: bracket keeps each word's
+    rotation in its "rotation_delta" row."""
+    eps = prefix_degrees(A, u)
+    eps_u = eps[-1]
+    col = []
+    for j, b in enumerate(u):
+        eps_k = eps_u - eps[j + 1]  # bar degree of u[j + 1:]
+        eps_r = eps_u - A.letter_degrees[b]
+        e = (eps_k + 1) * (eps_r - eps_k)
+        col.append(((u[j + 1:] + u[:j], b), -1 if e % 2 else 1))
+    return tuple(col)
 
 
 def connes_B(A, phi, p):
@@ -139,9 +137,9 @@ def connes_B(A, phi, p):
     B(phi)(w_1..w_r)(b) cycles (b, w_*) through the unit test slot:
     only entries of phi whose test index is the unit contribute, and each
     letter of such a word takes one turn as the new test element.  Weight
-    drops by one, degree rises by one.  The rotation of each word is
-    memoised on the model under "rotation", keyed by the word.  The
-    weight gate reads each word's length in the same pass.
+    drops by one, degree rises by one.  Each word's rotation is worked
+    out afresh by _rotation; the weight gate reads each word's length in
+    the same pass.
     """
     if phi.variant != "to_dual":
         raise GradingError("connes_B expects a dual cochain")
@@ -157,26 +155,15 @@ def connes_B(A, phi, p):
     return DualCochain._trusted(out, phi.degree + 1)
 
 
-class SymplecticBasis:
-    """Index pairs (alpha_i, beta_i) in degree one realizing the
-    orientation pairing as the standard symplectic form."""
-
-    def __init__(self, alphas, betas):
-        self.alphas = tuple(alphas)
-        self.betas = tuple(betas)
-
-    @property
-    def genus(self):
-        return len(self.alphas)
-
-
 def symplectic_basis(A):
-    """Extract a symplectic pairing among degree-1 basis elements.
+    """The symplectic pairs among degree-1 basis elements: a tuple of
+    index pairs (alpha_i, beta_i), one per genus, realizing the
+    orientation pairing as the standard symplectic form.
 
     Requires top degree 2 and a degree-1 basis whose orientation pairing
     is exactly the standard form under some index pairing; the builtin
-    surface and two-torus models qualify.  A basis found is cached on the
-    model; a model that lacks one is checked again on every call.
+    surface and two-torus models qualify.  The pairs found are cached on
+    the model; a model that lacks them is checked again on every call.
     """
     if "symplectic" in A._cache:
         return A._cache["symplectic"]
@@ -194,7 +181,7 @@ def symplectic_basis(A):
         raise lacks("no degree-1 elements")
     forward = _pairing(A)[0]
     remaining = list(deg1)
-    alphas, betas = [], []
+    pairs = []
     while remaining:
         i = remaining.pop(0)
         partner = next((j for j in remaining if forward[j].get(i) == 1),
@@ -202,22 +189,21 @@ def symplectic_basis(A):
         if partner is None:
             raise lacks(f"{A.names[i]} has no unit-pairing partner")
         remaining.remove(partner)
-        alphas.append(i)
-        betas.append(partner)
+        pairs.append((i, partner))
     standard = {}
-    for a, b in zip(alphas, betas):
+    for a, b in pairs:
         standard[(a, b)], standard[(b, a)] = 1, -1
     for x, y in itertools.product(deg1, repeat=2):
         if forward[y].get(x, 0) != standard.get((x, y), 0):
             raise lacks(f"pairing of {A.names[x]},{A.names[y]} "
                         "is not standard")
-    symp = A._cache["symplectic"] = SymplecticBasis(alphas, betas)
-    return symp
+    pairs = A._cache["symplectic"] = tuple(pairs)
+    return pairs
 
 
 def _check_bracket_inputs(A, c1, c2):
     """The input gate of bracket and e1_bracket: a symplectic model and
-    two degree-0 dual cochains.  Returns the symplectic basis.  The
+    two degree-0 dual cochains.  Returns the symplectic pairs.  The
     weight gates follow, raising GradingError(_OVER_FILTRATION)."""
     symp = symplectic_basis(A)  # raises BracketModelError when unsupported
     if c1.variant != "to_dual" or c2.variant != "to_dual":
@@ -231,10 +217,10 @@ def _rotate_checked(A, c, p):
     """bracket's one pass over c at filtration p: the weight gate, then
     B c, with connes_B(A, c, p)'s entries in their key order, then
     whether delta_to_dual(A, B c, p - 1) vanishes, read as the sum of
-    x·δ(B e_u) over the entries (u, unit): x.  Each word's rotation and
-    column δ(B e_u) are built once by connes_B and delta_to_dual and
-    memoised side by side under "rotation_delta", keyed by
-    (u, len(u) < p): the cutoff p - 1 only decides whether the
+    x·δ(B e_u) over the entries (u, unit): x.  Each word's rotation, by
+    _rotation, and its column δ(B e_u), by connes_B and delta_to_dual,
+    are built once and memoised side by side under "rotation_delta",
+    keyed by (u, len(u) < p): the cutoff p - 1 only decides whether the
     weight-raising terms of B e_u's words, of length len(u) - 1, are
     present.  Returns (entries of B c, whether B c is a cocycle)."""
     memo = A._cache.setdefault("rotation_delta", {})
@@ -338,7 +324,7 @@ def e1_bracket(A, c1, c2, p, q):
         entries[(letters, A.unit)] = sum(
             cyclic_sum(top1, (a,) + left) * cyclic_sum(top2, (b,) + right)
             - cyclic_sum(top1, (b,) + left) * cyclic_sum(top2, (a,) + right)
-            for a, b in zip(symp.alphas, symp.betas))
+            for a, b in symp)
     return DualCochain(A, entries, degree=0)
 
 
@@ -389,17 +375,12 @@ def e1_term(A, p):
     hom = dga_homology(A)
     h_dim = {qd: sub.betti for qd, sub in hom.items() if sub.betti}
     s_dim = {qd - 1: dim for qd, dim in h_dim.items() if qd >= 1}
-    tensor = {0: 1}
-    for _ in range(p):
-        nxt = {}
-        for beta, c in tensor.items():
-            for sb, dim in s_dim.items():
-                nxt[beta + sb] = nxt.get(beta + sb, 0) + c * dim
-        tensor = nxt
-    formula_dims = {}
-    for beta, c in tensor.items():
-        for qd, dim in h_dim.items():
-            n = beta + qd
-            if c * dim:
-                formula_dims[n] = formula_dims.get(n, 0) + c * dim
+
+    def times(f, g):  # product of two dimension series
+        out = {}
+        for (i, a), (j, b) in itertools.product(f.items(), g.items()):
+            out[i + j] = out.get(i + j, 0) + a * b
+        return out
+
+    formula_dims = functools.reduce(times, [s_dim] * p + [h_dim], {0: 1})
     return E1Report(p, quotient_dims, formula_dims)

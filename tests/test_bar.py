@@ -178,6 +178,21 @@ def test_betti_against_dense_oracle():
             assert hom[n].betti == dense_betti(A, n, w), (mid, n)
 
 
+def test_surface_bar_h0_matches_series():
+    """bar H0 of the genus-g surface at weight cutoff s has the dimension
+    sum_{n <= s} a_n, a_n the coefficients of 1/(1 - 2g t + t^2), the
+    Hilbert series of the algebra on 2g degree-one generators with one
+    symplectic relation: a_n = 2g a_{n-1} - a_{n-2}."""
+    for g, top in ((1, 5), (2, 6), (3, 4), (4, 3)):
+        coefficients = [1, 2 * g]
+        while len(coefficients) <= top:
+            coefficients.append(2 * g * coefficients[-1] - coefficients[-2])
+        A = model(f"surface:{g}")
+        for s in range(1, top + 1):
+            assert (bar_homology(A, (0, 0), s)[0].betti
+                    == sum(coefficients[:s + 1])), (g, s)
+
+
 def test_slice_complete_bound():
     s3 = model("sphere:3")
     assert slice_complete(s3, 6, 3)

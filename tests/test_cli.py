@@ -131,6 +131,17 @@ def test_bad_json_file_is_failure(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+def test_repeated_table_entry_is_failure(tmp_path, capsys):
+    doc = dga_to_doc(model("sphere:2"))
+    doc["products"].append({"left": "1", "right": "x",
+                            "result": {"x": "5"}})
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: repeated products entry 1·x\n"
+
+
 def test_loop_homology_exact_run(capsys):
     code, out, _ = run(capsys, ["loop-homology", "--model", "sphere:3",
                                 "--min", "-3", "--max", "5",
@@ -239,8 +250,9 @@ def test_bar_betti_needs_max_weight_with_degree_one_letters(capsys):
 def test_wide_default_window_is_refused(capsys, monkeypatch, command,
                                         builder, default):
     """A default window grows with the top degree, one slice per degree,
-    so one wider than 1,000 degrees is refused before anything is built;
-    one of 1,000 degrees or fewer, and any explicit window, is not."""
+    so one wider than 1,000 degrees is refused before anything is built,
+    and so is one with a single default end; one of 1,000 degrees or
+    fewer, and any window with both ends given, is not."""
     class Built(Exception):
         pass
 
@@ -260,6 +272,10 @@ def test_wide_default_window_is_refused(capsys, monkeypatch, command,
             (["--model", "sphere:499"], command == "loop-homology"),
             (["--model", "sphere:498"], False),
             (["--model", "sphere:500"], True),
+            (["--model", "sphere:100000000", "--max", "3"],
+             command == "loop-homology"),
+            (["--model", "sphere:100000000", "--min", "0"], True),
+            (["--model", "sphere:499", "--max", "3"], False),
             (["--model", "sphere:100000000", "--min", "-5000", "--max",
               "5000"], False)):
         if refused:

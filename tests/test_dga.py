@@ -10,7 +10,7 @@ import pytest
 
 from conftest import MODEL_IDS, model
 from looptop.bar import bar_homology
-from looptop.dga import (DegreeMismatchError, ModelError, ParseError,
+from looptop.dga import (DGA, DegreeMismatchError, ModelError, ParseError,
                          acyclic_extension, build_dga, builtin_model,
                          dga_homology, dga_to_doc, tensor_product,
                          validate_dga)
@@ -122,6 +122,28 @@ def test_parse_rejects_duplicate_names():
     doc["basis"] = ["1", "1"]
     with pytest.raises(ParseError):
         build_dga(doc)
+
+
+@pytest.mark.parametrize("key, repeat, message", [
+    ("products", {"left": "1", "right": "x", "result": {"x": "5"}},
+     "repeated products entry 1·x"),
+    ("products", {"left": "1", "right": "x", "result": {"x": "0"}},
+     "repeated products entry 1·x"),
+    ("differential", {"from": "e", "to": {"f": "2"}},
+     "repeated differential entry d(e)"),
+    ("differential", {"from": "e", "to": {}},
+     "repeated differential entry d(e)")])
+def test_parse_rejects_repeated_entries(key, repeat, message):
+    """A second entry for one product pair or differential source is
+    refused, whatever its coefficients: neither the last nor the first
+    nonzero entry silently wins."""
+    doc = dga_to_doc(model("acyclic_extension:sphere:2"))
+    assert any(all(entry[f] == repeat[f] for f in list(repeat)[:-1])
+               for entry in doc[key])
+    doc[key].append(repeat)
+    with pytest.raises(ParseError) as err:
+        build_dga(doc)
+    assert str(err.value) == message
 
 
 _JUNK = (None, True, 0, -1, 7, 1.5, "", "x", "1/0", "2/3", [], ["x"], {},
@@ -266,6 +288,64 @@ def test_orientation_pairing_degenerate_is_reported():
     assert validate_dga(build_dga(doc)).violations == [
         ("orientation/nondegenerate", (2,),
          "homology pairing degrees (2,2) singular")]
+
+
+def _small_model(degrees, product=None, differential=None, top=None,
+                 orientation=None):
+    """DGA(...) straight from tables, unchecked: degrees maps each name to
+    its degree, the first name is the unit and its unit laws are filled
+    in; tables name elements, and top defaults to the largest degree."""
+    names = list(degrees)
+    index = {n: i for i, n in enumerate(names)}
+
+    def chain(img):
+        return {index[k]: c for k, c in img.items()}
+
+    table = {(0, i): {i: 1} for i in range(len(names))}
+    table.update({(i, 0): {i: 1} for i in range(len(names))})
+    table.update({(index[l], index[r]): chain(img)
+                  for (l, r), img in (product or {}).items()})
+    return DGA(names, list(degrees.values()), 0, table,
+               {index[k]: chain(img)
+                for k, img in (differential or {}).items()},
+               max(degrees.values()) if top is None else top,
+               orientation=orientation and chain(orientation), label="small")
+
+
+@pytest.mark.parametrize("A, rule, witness, rules", [
+    # a second degree-0 element
+    (_small_model({"1": 0, "y": 0}),
+     "basis/connected", ("1", "y"), ["basis/connected"]),
+    # a unit of positive degree cannot be its own square, and the
+    # degree-0 slice is empty
+    (DGA(["1"], [1], 0, {}, {}, 1, label="small"),
+     "unit/degree", ("1",),
+     ["basis/connected", "unit/degree", "unit/identity"]),
+    (_small_model({"1": 0, "x": 2, "y": 2}, differential={"x": {"y": 1}}),
+     "differential/grading", ("x", "y"), ["differential/grading"]),
+    (_small_model({"1": 0, "x": 2, "y": 3}, product={("x", "x"): {"y": 1}},
+                  top=4),
+     "product/grading", ("x", "x", "y"), ["product/grading"]),
+    # d(x·x) = z, but dx = 0
+    (_small_model({"1": 0, "x": 2, "y": 4, "z": 5},
+                  product={("x", "x"): {"y": 1}},
+                  differential={"y": {"z": 1}}),
+     "leibniz", ("x", "x"), ["leibniz"]),
+    # f = de is oriented, yet g keeps the pairing nondegenerate
+    (_small_model({"1": 0, "e": 1, "f": 2, "g": 2},
+                  differential={"e": {"f": 1}}, orientation={"f": 1, "g": 1}),
+     "orientation/closed", ("e",), ["orientation/closed"]),
+    # oriented with d² != 0: dga_homology cannot be built, so the
+    # nondegeneracy check has no degrees to read
+    (_small_model({"1": 0, "x": 1, "y": 2, "z": 3},
+                  differential={"x": {"y": 1}, "y": {"z": 1}},
+                  orientation={"z": 1}),
+     "differential/squares-to-zero", ("x",),
+     ["differential/squares-to-zero", "orientation/closed"])])
+def test_validate_rule_fires_on_its_minimal_model(A, rule, witness, rules):
+    report = validate_dga(A)
+    assert report.rules == rules
+    assert [w for r, w, _ in report.violations if r == rule] == [witness]
 
 
 def test_acyclic_extension_structure():

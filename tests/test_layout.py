@@ -3,7 +3,9 @@
 Every public top-level function or class of `src/looptop` has a caller
 in another module of the package or in a test, and no module imports a
 name it does not use.  `__init__.py` re-exports names, so it is neither
-checked for unused imports nor counted as a caller.
+checked for unused imports nor counted as a caller.  The per-model
+cache table in CONVENTIONS.md lists exactly the cache keys the package
+uses.
 """
 
 import ast
@@ -82,3 +84,41 @@ def test_no_unused_imports():
                         and (name, bound) not in UNUSED_IMPORTS):
                     unused.append(f"{name}: {bound}")
     assert not unused, unused
+
+
+def _cache_keys(tree):
+    """The keys a tree reads or writes on some `x._cache`: subscripted,
+    read with .get, set with .setdefault or tested with `in`.  A key that
+    is not a string literal shows as its source text."""
+    def is_cache(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_cache"
+
+    def key(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value
+        return ast.unparse(node)
+
+    keys = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and is_cache(node.value):
+            keys.add(key(node.slice))
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("get", "setdefault")
+              and is_cache(node.func.value)):
+            keys.add(key(node.args[0]))
+        elif (isinstance(node, ast.Compare)
+              and isinstance(node.ops[0], (ast.In, ast.NotIn))
+              and is_cache(node.comparators[0])):
+            keys.add(key(node.left))
+    return keys
+
+
+def test_cache_table_lists_every_cache_key():
+    """The per-model cache table in CONVENTIONS.md names exactly the
+    `A._cache` keys the package uses."""
+    used = set().union(*(_cache_keys(t) for t in _modules().values()))
+    text = (ROOT / "CONVENTIONS.md").read_text()
+    table = text[text.index("| key | keyed by | holds |"):].split("\n\n")[0]
+    documented = {line.split("`")[1] for line in table.splitlines()[2:]}
+    assert used == documented
