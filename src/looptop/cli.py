@@ -199,15 +199,41 @@ def _cmd_loop_homology(args):
             "degrees": {str(n): {"betti": ring.betti[n],
                                  "exact": ring.exact[n]}
                         for n in ring.betti},
-            "ring": {f"h{k1[0]}.{k1[1]}*h{k2[0]}.{k2[1]}":
-                     ({f"h{n}.{k}": str(c) for (n, k), c in expr.items()}
+            "ring": {f"{_class_name(k1)}*{_class_name(k2)}":
+                     ({_class_name(k): str(c) for k, c in expr.items()}
                       if expr is not None else None)
                      for (k1, k2), expr in sorted(ring.ring.items())},
         }
         _emit(_json_dump(obj))
     else:
-        _emit(f"model\t{A.label}\tcutoff\t{cutoff}\n" + ring.tsv())
+        prods = {}
+        for (k1, k2), expr in sorted(ring.ring.items()):
+            prods.setdefault(k1[0], []).append(
+                f"{_class_name(k1)}*{_class_name(k2)}={_expr_str(expr)}")
+        lines = [f"model\t{A.label}\tcutoff\t{cutoff}",
+                 "degree\tbetti\tstatus\tclasses\tproducts"]
+        for n, betti in ring.betti.items():
+            lines.append("\t".join([
+                str(n), str(betti),
+                "exact" if ring.exact[n] else "weight-truncated",
+                ",".join(_class_name((n, k)) for k in range(betti)) or "-",
+                ";".join(prods.get(n, ["-"]))]))
+        _emit("\n".join(lines) + "\n")
     return 0 if all(ring.exact.values()) else 3
+
+
+def _class_name(key):
+    """Report name of the loop-homology class (degree, index)."""
+    return "h{}.{}".format(*key)
+
+
+def _expr_str(expr):
+    """A ring table entry in tsv: ? for a product that is not a cocycle
+    in the window, else its classes with coefficients, or 0."""
+    if expr is None:
+        return "?"
+    return "+".join(_class_name(k) if c == 1 else f"{c}*{_class_name(k)}"
+                    for k, c in sorted(expr.items())) or "0"
 
 
 def _cmd_bar_betti(args):

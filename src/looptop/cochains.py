@@ -18,10 +18,12 @@ concatenation product and its Koszul sign are written once, in
 _concatenate: cup runs it through the algebra's product table,
 duality.bracket through its own.  Operators whose outputs are
 homogeneous by construction make them with _Cochain._trusted, which
-skips the grading scan of the public constructors.
+skips the grading scan of the public constructors.  LoopHomology holds
+its ring table as numbers; cli names the classes and renders it.
 """
 
-from .linalg import acc, add_scaled, compose_columns, homology
+from .linalg import (CompositionError, acc, add_scaled, homology,
+                     _checked_boundaries)
 from .bar import (bar_degree, boundary_preimages,
                   slice_complete as bar_complete, words_by_degree, word_str)
 
@@ -348,11 +350,12 @@ def delta_squared_zero(A, variant, degree_range, weight_cutoff):
     lo, hi = degree_range
     slices = {n: assemble_complex(A, variant, n, weight_cutoff)
               for n in range(hi + 1, lo - 1, -1)}
-    for n in range(lo, hi + 1):
-        square = compose_columns(slices[n].delta_columns,
-                                 slices[n + 1].delta_columns)
-        if any(square.values()):
-            return False
+    try:
+        for n in range(lo, hi + 1):
+            _checked_boundaries(slices[n + 1].delta_columns,
+                                slices[n].delta_columns)
+    except CompositionError:
+        return False
     return True
 
 
@@ -366,12 +369,9 @@ class LoopHomology:
         self.presentations = presentations
         self.betti = {n: p.betti for n, p in presentations.items()}
         self.exact = {n: p.exact for n, p in presentations.items()}
-        self.representatives = {}
-        self.class_names = {}
-        for n, p in sorted(presentations.items()):
-            reps = [Cochain(A, dict(v), degree=n) for v in p.representatives]
-            self.representatives[n] = reps
-            self.class_names[n] = [f"h{n}.{k}" for k in range(len(reps))]
+        self.representatives = {
+            n: [Cochain(A, dict(v), degree=n) for v in p.representatives]
+            for n, p in sorted(presentations.items())}
         self.ring = {}
         self._fill_ring()
 
@@ -404,35 +404,6 @@ class LoopHomology:
 
     def class_cochain(self, degree, k):
         return self.representatives[degree][k]
-
-    def tsv(self):
-        prods = {}
-        for k1, k2 in sorted(self.ring):
-            prods.setdefault(k1[0], []).append(
-                f"h{k1[0]}.{k1[1]}*h{k2[0]}.{k2[1]}="
-                f"{_expr_str(self.ring[(k1, k2)])}")
-        lines = ["degree\tbetti\tstatus\tclasses\tproducts"]
-        lo, hi = self.degree_range
-        for n in range(lo, hi + 1):
-            names = self.class_names.get(n)
-            lines.append("\t".join([
-                str(n), str(self.betti.get(n, 0)),
-                "exact" if self.exact.get(n) else "weight-truncated",
-                ",".join(names) if names else "-",
-                ";".join(prods.get(n, ["-"]))]))
-        return "\n".join(lines) + "\n"
-
-
-def _expr_str(expr):
-    if expr is None:
-        return "?"
-    if not expr:
-        return "0"
-    parts = []
-    for (n, k), c in sorted(expr.items()):
-        parts.append(f"{c}*h{n}.{k}" if c != 1 else f"h{n}.{k}")
-    return "+".join(parts)
-
 
 def loop_homology(A, degree_range, weight_cutoff):
     """Loop-space style homology ring of a model over a degree window."""

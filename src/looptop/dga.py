@@ -299,9 +299,6 @@ def validate_dga(A):
     if zeros != [A.unit]:
         bad.append(("basis/connected", tuple(names[i] for i in zeros),
                     "degree-0 slice must be spanned by the unit alone"))
-    if A.degrees[A.unit] != 0:
-        bad.append(("unit/degree", (names[A.unit],),
-                    f"unit has degree {A.degrees[A.unit]}"))
 
     for i, img in sorted(A.differential.items()):
         for k in img:

@@ -22,7 +22,7 @@ from .linalg import acc, add_scaled, homology, kernel_basis
 # words_by_degree and assemble_complex are unused here, but
 # bench/tracing.py wraps them under this module and its restore test reads
 # them back
-from .bar import bar_degree, prefix_degrees, words_by_degree  # noqa: F401
+from .bar import bar_degree, words_by_degree  # noqa: F401
 from .cochains import assemble_complex  # noqa: F401
 from .dga import OrientationError, dga_homology
 from .cochains import (Cochain, DualCochain, GradingError, cup,
@@ -116,18 +116,18 @@ def poincare_P_chain_inverse(A, psi):
 
 def _rotation(A, u):
     """B of the dual basis cochain (u, unit): one ((w, b), sign) pair per
-    letter b of u, with w the rest of u read cyclically from after b.
-    A periodic u repeats keys; the pairs stay apart so that connes_B adds
+    letter b = u[j], w the rest of u read cyclically from after b, sign
+    the Koszul sign of moving u[:j] past the rest (bar degrees).  A
+    periodic u repeats keys; the pairs stay apart so that connes_B adds
     them in rotation order.  Not memoised here: bracket keeps each word's
     rotation in its "rotation_delta" row."""
-    eps = prefix_degrees(A, u)
-    eps_u = eps[-1]
+    eps_u = bar_degree(A, u)
+    eps_j = 0  # bar degree of u[:j]
     col = []
     for j, b in enumerate(u):
-        eps_k = eps_u - eps[j + 1]  # bar degree of u[j + 1:]
-        eps_r = eps_u - A.letter_degrees[b]
-        e = (eps_k + 1) * (eps_r - eps_k)
+        e = eps_j * (eps_u - eps_j)
         col.append(((u[j + 1:] + u[:j], b), -1 if e % 2 else 1))
+        eps_j += A.letter_degrees[b]
     return tuple(col)
 
 

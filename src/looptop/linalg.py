@@ -12,7 +12,8 @@ an int multiplier.  Rationals enter only through kernel vectors and the
 final division in SubquotientBasis.express, and _div is the one place
 a rational is made.  Homology works in the coordinates of the cycle
 basis that kernel_basis returns, so no elimination tracks how its rows
-arise from the inserted vectors.
+arise from the inserted vectors.  _checked_boundaries is the one check
+that two maps compose to zero: homology and both d^2 checks call it.
 """
 
 from fractions import Fraction
@@ -67,11 +68,6 @@ def apply_columns(columns, vec):
         if col:
             add_scaled(out, col, c)
     return out
-
-
-def compose_columns(outer, inner):
-    """Columns of outer∘inner, indexed like inner."""
-    return {k: apply_columns(outer, col) for k, col in inner.items()}
 
 
 class _Row:
@@ -284,24 +280,14 @@ class SubquotientBasis:
         return expr is not None and not expr
 
 
-def homology(boundary_in, boundary_out):
-    """Homology of one slice of a complex.
-
-    boundary_in gives the map landing in the slice (columns indexed by the
-    neighbouring slice's basis); boundary_out gives the map leaving it,
-    with a column, possibly empty, for every basis key of the slice.
-    Raises CompositionError unless every boundary lies in the slice and
-    the composite vanishes.  Both checks run on every nonempty incoming
-    column, in sorted key order, in one pass over its entries: each is
-    looked up in boundary_out (a key with an empty column lies in the
-    slice) and its image accumulated, the first entry outside the slice
-    raising at once and a nonzero composite only after the whole column.
-    An empty column has no entry outside the slice and a zero image, so
-    it is skipped, and it never reaches the boundary echelon either.
-
-    One elimination finds the cycles (kernel_basis); a second, of the
-    boundaries in cycle coordinates, picks the representatives and
-    answers every later express() query.
+def _checked_boundaries(boundary_in, boundary_out):
+    """The nonempty columns of boundary_in, the map landing in a slice,
+    in sorted key order.  boundary_out, the map leaving the slice, has a
+    column, possibly empty, for every basis key of the slice.  Raises
+    CompositionError unless each column lies in the slice and composes to
+    zero, checking both in one pass over its entries: the first entry
+    outside the slice raises at once, a nonzero composite only after the
+    whole column.  An empty column has neither fault and is skipped.
     """
     boundaries = []
     for k in sorted(k for k, col in boundary_in.items() if col):
@@ -318,5 +304,15 @@ def homology(boundary_in, boundary_out):
         if image:
             raise CompositionError(f"composite differential nonzero on {k!r}")
         boundaries.append(col)
+    return boundaries
 
+
+def homology(boundary_in, boundary_out):
+    """Homology of one slice, boundary_in landing in it and boundary_out
+    leaving it, checked by _checked_boundaries.  One elimination finds
+    the cycles (kernel_basis); a second, of the boundaries in cycle
+    coordinates, picks the representatives and answers every later
+    express() query.
+    """
+    boundaries = _checked_boundaries(boundary_in, boundary_out)
     return SubquotientBasis(kernel_basis(boundary_out), boundaries)

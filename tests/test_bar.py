@@ -12,8 +12,7 @@ from fractions import Fraction
 from conftest import model
 from looptop import bar, builtin_model, cochains
 from looptop.bar import (bar_d_squared_zero, bar_degree, bar_homology,
-                         bar_slice, prefix_degrees,
-                         slice_complete, words_by_degree)
+                         bar_slice, slice_complete, words_by_degree)
 from looptop.cochains import loop_homology
 from looptop.linalg import apply_columns
 
@@ -101,11 +100,10 @@ def dense_betti(A, degree, max_weight):
     return len(dom) - rank_out - rank_in
 
 
-def test_bar_degree_and_prefix_degrees():
+def test_bar_degree():
     cp2 = model("complex_projective:2")
     assert bar_degree(cp2, ()) == 0
     assert bar_degree(cp2, (1, 2)) == 1 + 3
-    assert prefix_degrees(cp2, (1, 2, 1)) == [0, 1, 4, 5]
 
 
 def boundary(A, w):

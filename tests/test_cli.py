@@ -171,6 +171,24 @@ def test_loop_homology_tsv_frozen(capsys):
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == want, mid
 
 
+# the same runs in --format json, recorded while cochains.LoopHomology
+# still named the classes
+LOOP_HOMOLOGY_JSON = {
+    ("sphere:3", "-3", "5"): (
+        0, "8e2bfdc874b5e23cf10d09bb324d5ed2878896c1afa3f5c9981e143c30622e70"),
+    ("complex_projective:2", "-4", "6"): (
+        3, "7694d88d6fa2ff274e9a0c7b4bb6f24eb03dfe4eb537f17231a4802834b4ccfb"),
+}
+
+
+def test_loop_homology_json_frozen(capsys):
+    for (mid, lo, hi), want in LOOP_HOMOLOGY_JSON.items():
+        code, out, _ = run(capsys, ["loop-homology", "--model", mid,
+                                    "--min", lo, "--max", hi,
+                                    "--cutoff", "8", "--format", "json"])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == want, mid
+
+
 # the default window of CP^3 (degrees -6..8) at cutoff 11: exit code and
 # sha256 of stdout, recorded while every word up to the cutoff was built
 # (265,720 words)

@@ -319,8 +319,7 @@ def _small_model(degrees, product=None, differential=None, top=None,
     # a unit of positive degree cannot be its own square, and the
     # degree-0 slice is empty
     (DGA(["1"], [1], 0, {}, {}, 1, label="small"),
-     "unit/degree", ("1",),
-     ["basis/connected", "unit/degree", "unit/identity"]),
+     "unit/identity", ("1",), ["basis/connected", "unit/identity"]),
     (_small_model({"1": 0, "x": 2, "y": 2}, differential={"x": {"y": 1}}),
      "differential/grading", ("x", "y"), ["differential/grading"]),
     (_small_model({"1": 0, "x": 2, "y": 3}, product={("x", "x"): {"y": 1}},

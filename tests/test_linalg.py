@@ -13,8 +13,8 @@ from looptop.bar import bar_slice
 from looptop.cochains import assemble_complex, hochschild_homology
 from looptop.linalg import (CompositionError, Echelon, SubquotientBasis, acc,
                             add_scaled, apply_columns, column_rank,
-                            compose_columns, homology, kernel_basis,
-                            vec_combine, _content_one, _div, _Row)
+                            homology, kernel_basis, vec_combine,
+                            _content_one, _div, _Row)
 
 
 def test_vec_helpers_drop_zeros():
@@ -38,12 +38,9 @@ def test_vec_helpers_drop_zeros():
     assert out == {}
 
 
-def test_apply_and_compose_columns():
+def test_apply_columns():
     cols = {"u": {"a": 1, "b": 2}, "v": {"b": -2}}
     assert apply_columns(cols, {"u": 1, "v": 1}) == {"a": 1}
-    outer = {"a": {"p": 3}, "b": {"p": 1}}
-    comp = compose_columns(outer, cols)
-    assert comp == {"u": {"p": 5}, "v": {"p": -2}}
 
 
 def test_echelon_reduce_identity():
