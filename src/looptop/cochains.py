@@ -14,8 +14,8 @@ their signs worked out, A._cache["coboundary_terms"] (per flavour and
 value index) and the bar boundary's A._cache["preimages"] (per letter),
 and a word's bar-boundary preimages are walked once per run of its keys.
 Slices, e1_term's layers and delta_to_A/delta_to_dual all call it.  The
-concatenation product and its Koszul sign are written once, in
-_concatenate: cup runs it through the algebra's product table,
+concatenation product is written once, in _concatenate, its Koszul sign
+in _right_operand: cup runs it through the algebra's product table,
 duality.bracket through its own.  Operators whose outputs are
 homogeneous by construction make them with _Cochain._trusted, which
 skips the grading scan of the public constructors.  LoopHomology holds
@@ -227,23 +227,28 @@ def delta_to_dual(A, phi, weight_cutoff):
     return _coboundary(A, phi, weight_cutoff, DualCochain)
 
 
-def _concatenate(A, left, right, n1, shift, cutoff, product):
-    """The concatenation product of two homogeneous cochains' entries
-    through product, a dict (a1, a2) -> {k: t} in the shape of A.product
-    with zero products left out.  Entries (v1, a1): c1 of left and
-    (v2, a2): c2 of right with len(v1 v2) <= cutoff add c1·c2·t at
-    (v1 v2, k), with the Koszul sign (-1)^{n1 (n2 + bar degree of v2)}:
-    left entries outer, right entries inner, terms in table order.  The
-    right cochain is homogeneous, so n2 + bar degree of v2 has the parity
-    of |a2| + shift: shift is 0 when n2 is a to-A degree, and the top
-    degree when n2 is a dual degree less the top degree."""
+def _right_operand(A, entries, n1, shift):
+    """A homogeneous cochain's entries (v2, a2): c2 as _concatenate's
+    right operand (len(v2), v2, a2, ±c2), with the Koszul sign
+    (-1)^{n1 (n2 + bar degree of v2)} for a left degree n1.  n2 + bar
+    degree of v2 has the parity of |a2| + shift: shift is 0 for a to-A
+    n2, the top degree for a dual degree less the top degree."""
     odd, deg = n1 % 2, A.degrees
-    right = [(len(v2), v2, a2,
-              -c2 if odd and (deg[a2] + shift) % 2 else c2)
-             for (v2, a2), c2 in right.items()]
+    return [(len(v2), v2, a2, -c2 if odd and (deg[a2] + shift) % 2 else c2)
+            for (v2, a2), c2 in entries.items()]
+
+
+def _concatenate(left, right, cutoff, product, scale=1):
+    """The concatenation product, times scale, of the entries
+    (v1, a1): c1 of left and a right operand from _right_operand through
+    product, (a1, a2) -> {k: t} in the shape of A.product with zero
+    products left out: each pair with len(v1 v2) <= cutoff adds
+    scale·c1·c2·t at (v1 v2, k), left outer, right inner, terms in
+    table order."""
     out = {}
     for (v1, a1), c1 in left.items():
         room = cutoff - len(v1)
+        c1 *= scale
         for len2, v2, a2, c2 in right:
             if len2 > room:
                 continue
@@ -252,7 +257,12 @@ def _concatenate(A, left, right, n1, shift, cutoff, product):
                 continue
             w, c = v1 + v2, c1 * c2
             for k, t in terms.items():
-                acc(out, (w, k), c * t)
+                key = (w, k)  # acc(out, key, c * t), inlined
+                y = out.get(key, 0) + c * t
+                if y:
+                    out[key] = y
+                else:
+                    out.pop(key, None)
     return out
 
 
@@ -261,9 +271,9 @@ def cup(A, phi1, phi2, weight_cutoff):
     through the algebra's product table."""
     if phi1.variant != "to_A" or phi2.variant != "to_A":
         raise GradingError("cup is defined on to-A cochains")
+    right = _right_operand(A, phi2.entries, phi1.degree, 0)
     return Cochain._trusted(
-        _concatenate(A, phi1.entries, phi2.entries, phi1.degree, 0,
-                     weight_cutoff, A.product),
+        _concatenate(phi1.entries, right, weight_cutoff, A.product),
         phi1.degree + phi2.degree)
 
 

@@ -10,9 +10,10 @@ word through the test slot (dropping weight by one, raising degree by
 one), and the bracket of two degree-0 dual classes is
 -P(P^{-1}B(c1) ∪ P^{-1}B(c2)).  bracket reads each input once, for its
 weight gate, its rotation and its cocycle check, through a per-word memo
-A._cache["rotation_delta"].  P and P^{-1} act on the test slot only, so
-what follows B is cup's concatenation product of the two rotated
-cochains through a per-model table, A._cache["bracket_table"].
+A._cache["rotation_delta"] of B e_u, pre-signed too, and δ(B e_u).  P
+and P^{-1} act on the test slot only, so what follows B is cup's
+concatenation product of the two rotated cochains through a per-model
+table, A._cache["bracket_table"].
 """
 
 import functools
@@ -25,8 +26,8 @@ from .linalg import acc, add_scaled, homology, kernel_basis
 from .bar import bar_degree, words_by_degree  # noqa: F401
 from .cochains import assemble_complex  # noqa: F401
 from .dga import OrientationError, dga_homology
-from .cochains import (Cochain, DualCochain, GradingError, cup,
-                       delta_to_dual, _concatenate, _delta_columns)
+from .cochains import (Cochain, DualCochain, GradingError, cup, delta_to_dual,
+                       _concatenate, _delta_columns, _right_operand)
 
 
 _OVER_FILTRATION = "class support exceeds its stated filtration"
@@ -114,32 +115,15 @@ def poincare_P_chain_inverse(A, psi):
     return Cochain._trusted(out, psi.degree - A.top_degree)
 
 
-def _rotation(A, u):
-    """B of the dual basis cochain (u, unit): one ((w, b), sign) pair per
-    letter b = u[j], w the rest of u read cyclically from after b, sign
-    the Koszul sign of moving u[:j] past the rest (bar degrees).  A
-    periodic u repeats keys; the pairs stay apart so that connes_B adds
-    them in rotation order.  Not memoised here: bracket keeps each word's
-    rotation in its "rotation_delta" row."""
-    eps_u = bar_degree(A, u)
-    eps_j = 0  # bar degree of u[:j]
-    col = []
-    for j, b in enumerate(u):
-        e = eps_j * (eps_u - eps_j)
-        col.append(((u[j + 1:] + u[:j], b), -1 if e % 2 else 1))
-        eps_j += A.letter_degrees[b]
-    return tuple(col)
-
-
 def connes_B(A, phi, p):
     """Rotation operator on dual cochains.
 
     B(phi)(w_1..w_r)(b) cycles (b, w_*) through the unit test slot:
-    only entries of phi whose test index is the unit contribute, and each
-    letter of such a word takes one turn as the new test element.  Weight
-    drops by one, degree rises by one.  Each word's rotation is worked
-    out afresh by _rotation; the weight gate reads each word's length in
-    the same pass.
+    each letter b = u[j] of a word u with unit test index turns up at
+    (w, b), w the rest of u read cyclically from after b, with the
+    Koszul sign of moving u[:j] past the rest (bar degrees).  A periodic
+    u repeats keys, added in rotation order.  Weight drops by one, degree
+    rises by one; the weight gate reads each length in the same pass.
     """
     if phi.variant != "to_dual":
         raise GradingError("connes_B expects a dual cochain")
@@ -150,8 +134,12 @@ def connes_B(A, phi, p):
                 f"cochain has weight {phi.weight_support}, expected <= {p}")
         if val != A.unit or not u:
             continue
-        for key, sign in _rotation(A, u):
-            acc(out, key, sign * c)
+        eps_u = bar_degree(A, u)
+        eps_j = 0  # bar degree of u[:j]
+        for j, b in enumerate(u):
+            e = eps_j * (eps_u - eps_j)
+            acc(out, (u[j + 1:] + u[:j], b), -c if e % 2 else c)
+            eps_j += A.letter_degrees[b]
     return DualCochain._trusted(out, phi.degree + 1)
 
 
@@ -213,18 +201,18 @@ def _check_bracket_inputs(A, c1, c2):
     return symp
 
 
-def _rotate_checked(A, c, p):
+def _rotation_rows(A, c, p):
     """bracket's one pass over c at filtration p: the weight gate, then
-    B c, with connes_B(A, c, p)'s entries in their key order, then
-    whether delta_to_dual(A, B c, p - 1) vanishes, read as the sum of
-    x·δ(B e_u) over the entries (u, unit): x.  Each word's rotation, by
-    _rotation, and its column δ(B e_u), by connes_B and delta_to_dual,
-    are built once and memoised side by side under "rotation_delta",
-    keyed by (u, len(u) < p): the cutoff p - 1 only decides whether the
-    weight-raising terms of B e_u's words, of length len(u) - 1, are
-    present.  Returns (entries of B c, whether B c is a cocycle)."""
+    the memo row of each entry (u, unit): x, then whether
+    delta_to_dual(A, B c, p - 1) = sum of x·δ(B e_u) vanishes.  A row,
+    under "rotation_delta" keyed by (u, len(u) < p), holds B e_u as
+    connes_B returns it, the same as _concatenate's right operand, and
+    δ(B e_u): the cutoff p - 1 only decides whether the weight-raising
+    terms of B e_u's words, of length len(u) - 1, are present.  Returns
+    ((row, x) pairs in entry order, whether B c is a cocycle)."""
     memo = A._cache.setdefault("rotation_delta", {})
-    rotated, delta = {}, {}
+    top = A.top_degree
+    rows, delta = [], {}
     for (u, val), x in c.entries.items():
         if len(u) > p:
             raise GradingError(_OVER_FILTRATION)
@@ -234,14 +222,28 @@ def _rotate_checked(A, c, p):
         row = memo.get(key)
         if row is None:
             b = connes_B(A, DualCochain(A, {(u, val): 1}), p)
-            row = memo[key] = (_rotation(A, u),
+            row = memo[key] = (b.entries,
+                               _right_operand(A, b.entries, 1 - top, top),
                                delta_to_dual(A, b, p - 1).entries)
-        rotation, col = row
-        for k, sign in rotation:
-            acc(rotated, k, sign * x)
-        if col:
-            add_scaled(delta, col, x)
-    return rotated, not delta
+        if row[2]:
+            add_scaled(delta, row[2], x)
+        rows.append((row, x))
+    return rows, not delta
+
+
+def _rotated(A, rows, right):
+    """B c as _concatenate's left or right operand and a factor: one
+    row as it stands with factor x, or the rows merged with factor 1."""
+    if len(rows) == 1:
+        row, x = rows[0]
+        return row[1 if right else 0], x
+    merged = {}
+    for row, x in rows:
+        add_scaled(merged, row[0], x)
+    if right:
+        top = A.top_degree
+        merged = _right_operand(A, merged, 1 - top, top)
+    return merged, 1
 
 
 def _bracket_table(A):
@@ -273,7 +275,7 @@ def bracket(A, c1, c2, p, q, eval_cutoff=None):
     <= p + q - 2; passing eval_cutoff truncates the output further, which
     is cheaper when only a low window is compared.
 
-    Each input is read once, by _rotate_checked; the cocycle checks
+    Each input is read once, by _rotation_rows; the cocycle checks
     raise after both reads, first input first.  P and P^{-1} act on the
     test slot word by word, so after B the composite is the
     concatenation product of the two rotated cochains through the
@@ -281,8 +283,8 @@ def bracket(A, c1, c2, p, q, eval_cutoff=None):
     n_i = deg(B c_i) - top = 1 - top.
     """
     _check_bracket_inputs(A, c1, c2)
-    b1, closed1 = _rotate_checked(A, c1, p)
-    b2, closed2 = _rotate_checked(A, c2, q)
+    rows1, closed1 = _rotation_rows(A, c1, p)
+    rows2, closed2 = _rotation_rows(A, c2, q)
     if not closed1:
         raise CycleError("rotated first argument is not a cocycle")
     if not closed2:
@@ -291,9 +293,11 @@ def bracket(A, c1, c2, p, q, eval_cutoff=None):
     out_cutoff = p + q - 2
     if eval_cutoff is not None:
         out_cutoff = min(out_cutoff, eval_cutoff)
-    top = A.top_degree
+    left, x1 = _rotated(A, rows1, False)
+    right, x2 = _rotated(A, rows2, True)
     return DualCochain._trusted(
-        _concatenate(A, b1, b2, 1 - top, top, out_cutoff, table), 2 - top)
+        _concatenate(left, right, out_cutoff, table, x1 * x2),
+        2 - A.top_degree)
 
 
 def e1_bracket(A, c1, c2, p, q):

@@ -1,5 +1,6 @@
 """Cochain complexes on bar words: coboundaries, cup product, homology."""
 
+import itertools
 import random
 
 import pytest
@@ -235,34 +236,66 @@ def test_sphere2_loop_betti():
 
 
 def _cohen_jones_yan(family, n):
-    """H_*(LM) of S^n or CP^n as presented by Cohen, Jones and Yan: the
-    degrees of the lone monomials, the degrees m of the monomials that
-    carry a power v^k (k >= 0), and |v|."""
+    """H_*(LM) of S^n or CP^n as presented by Cohen, Jones and Yan, in
+    the shape Λ[w] ⊗ Q[c, v] / (c^{t+1}, c^t v, w c^t): the degrees of
+    w, c and v, and t, with c and t None where there is no c."""
     if family == "sphere" and n % 2:
         # Λ[b] ⊗ Q[u], |b| = -n, |u| = n - 1
-        return [], [0, -n], n - 1
+        return -n, None, n - 1, None
     if family == "sphere":
-        # a, v^k and b·v^k, |a| = -n, |b| = -1, |v| = 2n - 2
-        return [-n], [0, -1], 2 * n - 2
-    # w^e c^i v^k (e <= 1, i < n) and c^n, |c| = -2, |w| = -1, |v| = 2n
-    return [-2 * n], [-e - 2 * i for e in (0, 1) for i in range(n)], 2 * n
+        # Λ[b] ⊗ Q[a, v] / (a², ab, av), |a| = -n, |b| = -1, |v| = 2n - 2
+        return -1, -n, 2 * n - 2, 1
+    # Λ[w] ⊗ Q[c, v] / (c^{n+1}, c^n v, w c^n), |c| = -2, |w| = -1,
+    # |v| = 2n
+    return -1, -2, 2 * n, n
+
+
+def _monomials(presentation, lo, hi):
+    """{degree: (e, i, k)} for the monomials w^e c^i v^k of degree in
+    lo..hi that are not zero in the presentation, and the test of
+    whether the monomial of given exponents is not zero."""
+    w, c, v, t = presentation
+
+    def nonzero(e, i, k):
+        return e <= 1 and (t is None or i < t
+                           or (i == t and e == 0 and k == 0))
+
+    out = {}
+    for e, i, k in itertools.product((0, 1), range(1 if t is None else t + 1),
+                                     range(hi - lo + 1)):
+        d = e * w + (i * c if i else 0) + k * v
+        if lo <= d <= hi and nonzero(e, i, k):
+            assert d not in out  # every Betti number is at most 1
+            out[d] = (e, i, k)
+    return out, nonzero
 
 
 def test_loop_betti_match_cohen_jones_yan():
-    """Every slice up to degree 8 is exact and its Betti number counts
-    the monomials of that degree in the Cohen-Jones-Yan presentation."""
+    """Every slice up to degree 8 is exact, its Betti number counts the
+    monomials of that degree in the Cohen-Jones-Yan presentation, and
+    the cup product of the classes of two monomials is nonzero exactly
+    when their product is.  Every Betti number is at most 1, so this
+    does not depend on the representatives."""
     hi = 8
     cases = ([("sphere", n, -n) for n in range(2, 7)] +
              [("complex_projective", n, -2 * n) for n in range(1, 4)])
     for family, n, lo in cases:
         A = model(f"{family}:{n}")
         L = loop_homology(A, (lo, hi), hi + 1 + A.top_degree)
-        lone, powers, v = _cohen_jones_yan(family, n)
-        want = {d: lone.count(d) +
-                sum(d >= m and (d - m) % v == 0 for m in powers)
-                for d in range(lo, hi + 1)}
-        assert L.betti == want, (family, n)
+        mono, nonzero = _monomials(_cohen_jones_yan(family, n), lo, hi)
+        assert L.betti == {d: int(d in mono) for d in range(lo, hi + 1)}, (
+            family, n)
         assert all(L.exact.values()), (family, n)
+        products = [0, 0]  # zero, nonzero
+        for n1, n2 in itertools.product(mono, repeat=2):
+            if not lo <= n1 + n2 <= hi:
+                continue
+            got = L.ring[((n1, 0), (n2, 0))]
+            assert got is not None, (family, n, n1, n2)
+            want = nonzero(*map(sum, zip(mono[n1], mono[n2])))
+            assert bool(got) == want, (family, n, n1, n2)
+            products[want] += 1
+        assert all(products), (family, n, products)
 
 
 def _sign(e):

@@ -1,5 +1,6 @@
 """Duality map, Connes operator, symplectic data, and the bracket."""
 
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,9 @@ ORIENTED = ["sphere:2", "sphere:3", "complex_projective:1",
             "complex_projective:2", "surface:1", "surface:2",
             "torus:1", "torus:2"]
 
+# the keys of the per-model cache table in CONVENTIONS.md
+CACHE_KEYS = {"words_by_degree", "preimages", "coboundary_terms",
+              "rotation_delta", "pairing", "symplectic", "bracket_table"}
 
 # chain_pairing_invertible per model, recorded from the per-degree block test
 # the single pairing table replaced
@@ -509,6 +513,46 @@ def test_bracket_matches_reference_composite():
                         seen["[x, x]"] += x2 is x
     assert all(n > 20 for n in seen.values()), seen
 
+    # bracket passes an input with one unit-valued word as its memo row,
+    # its coefficient a factor, and merges the rows of two or more words:
+    # periodic words, scaled single words, sums whose rotations cancel
+    # wholly or in part, empty inputs, and output cutoffs below p + q - 2
+    seen = {"periodic": 0, "scaled": 0, "partial": 0, "cutoff": 0}
+    for mid in ("torus:2", "surface:1"):
+        A = builtin_model(mid)
+        a, b = A.basis_of_degree(1)[:2]
+
+        def word(w, c=1):
+            return DualCochain(A, {(w, A.unit): c}, degree=0)
+
+        periodic = [word((a, b, a, b), 3), word((a, a), -2),
+                    word((b, b, b), 5)]
+        scaled = [word((a,), 4), word((a, b), -3), word((b, a, a), 2)]
+        cancel = word((a, b)).sub(word((b, a)))
+        partial = word((a, a, b), 2).sub(word((a, b, a))).add(word((b,), 3))
+        empty = DualCochain(A, {}, degree=0)
+        assert connes_B(A, cancel, 2).is_zero
+        assert connes_B(A, partial, 3) == connes_B(
+            A, word((a, a, b)).add(word((b,), 3)), 3)
+        for x, y in itertools.product(
+                periodic + scaled + [cancel, partial, empty], repeat=2):
+            p, q = max(x.weight_support, 1), max(y.weight_support, 1)
+            for cutoff in (None, p + q - 3, p + q - 4):
+                if cutoff is not None and cutoff < 0:
+                    continue
+                got = bracket(A, x, y, p, q, eval_cutoff=cutoff)
+                want = _reference_bracket(A, x, y, p, q, cutoff)
+                assert got.entries == want.entries, (mid, x.entries,
+                                                     y.entries, cutoff)
+                if not got.is_zero:
+                    seen["periodic"] += x in periodic and y in periodic
+                    seen["scaled"] += x in scaled and y in scaled
+                    seen["partial"] += partial in (x, y)
+                    seen["cutoff"] += cutoff is not None
+                if cancel in (x, y) or empty in (x, y):
+                    assert got.is_zero
+    assert all(n >= 10 for n in seen.values()), seen
+
 
 def test_unscanned_outputs_pass_the_public_check():
     """Every operator output made without the grading scan is one the
@@ -707,3 +751,12 @@ def test_warm_brackets_read_only_the_memo(monkeypatch):
     for args in sweep():
         assert bracket(fresh, *args) == _reference_bracket(fresh, *args)
     assert calls == {"connes_B": 0, "delta_to_dual": 0}
+
+    # the model's memos stay within the cache table's keys, and the
+    # rotation memo holds one row per word and flag, never a row per
+    # input cochain or per pair of words
+    assert set(fresh._cache) <= CACHE_KEYS
+    rows = {(u, len(u) < p) for args in sweep()
+            for c, p in (args[0::2], args[1::2])
+            for u, val in c.entries if val == fresh.unit and u}
+    assert len(fresh._cache["rotation_delta"]) == len(rows)
